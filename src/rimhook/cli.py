@@ -116,6 +116,8 @@ def _cmd_verify(args) -> int:
 
 def _load_pair(path: str) -> tuple[SpecialRimHookTableau, SemistandardTableau]:
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object with keys tableau, filling")
     return (
         SpecialRimHookTableau.from_json(data["tableau"]),
         SemistandardTableau.from_json(data["filling"]),
@@ -161,8 +163,10 @@ def _trace_start(args) -> RootedTableau:
             f"shape {format_partition(shape)} and type {format_partition(typ)}"
         )
     s = tableaux[args.index]
-    active = next(k for k, h in enumerate(s.hooks) if root in h)
-    return RootedTableau(s.shape, s.hooks, root, active)
+    owners = [k for k, h in enumerate(s.hooks) if root in h]
+    if not owners:
+        raise ValueError(f"root {root} is not a cell of shape {format_partition(shape)}")
+    return RootedTableau(s.shape, s.hooks, root, owners[0])
 
 
 def _cmd_trace(args) -> int:

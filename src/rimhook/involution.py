@@ -7,6 +7,18 @@ state into its successor; iterating from a rooted tileable state always
 returns to one, with the sign of the tableau flipped.  The pair-level
 involution wraps this core with max-entry bookkeeping on a standard
 filling.
+
+Every rule is a function of the state alone.  The tail-vertical rule drops
+the tail at the root and reattaches the active hook beyond its head (hi, hj):
+at c = (hi, hj+1) when c is a permissible cell (head, tail or corner) of
+the other hook covering it, or when c is uncovered and adding it keeps a
+Ferrers diagram (hi = 1, or row hi-1 reaches column hj+1), so that c closes
+its row and column; otherwise at (hi-1, hj).  Over every rooted walk with n <= 12 this picks
+the attachment that gives a valid state from which the walk continues.
+
+States enter through the validating constructor; the walk builds its
+intermediate states unchecked from valid ones and hands back a terminal
+state that passes the constructor again.
 """
 
 from __future__ import annotations
@@ -131,6 +143,8 @@ class RootedTableau:
 
     @classmethod
     def from_json(cls, data) -> "RootedTableau":
+        if not isinstance(data, dict):
+            raise ValueError("expected a JSON object with keys shape, hooks, root, active")
         return cls(
             tuple(int(x) for x in data["shape"]),
             tuple(RimHook.from_json(h) for h in data["hooks"]),
@@ -170,42 +184,49 @@ def classify(state: RootedTableau) -> HookClass:
     raise ValueError(f"root {r} is not a permissible cell of the active hook")
 
 
+def _unchecked(
+    shape: Partition, hooks: tuple[RimHook, ...], root: Cell, active: int
+) -> RootedTableau:
+    """A state the engine derived from a valid one: fields set, no validation."""
+    state = object.__new__(RootedTableau)
+    state.__dict__.update(shape=shape, hooks=hooks, root=root, active=active)
+    return state
+
+
 def _settle(old: RootedTableau, hooks: list[RimHook], new_root: Cell) -> RootedTableau:
-    """Rebuild a valid state around the moved root and hand over activity.
+    """Build the successor around the moved root and hand over activity.
 
     The hook that now overlaps the modified one at the root becomes active;
     if the root landed on singly covered ground the walk has terminated and
     the modified hook stays active.
     """
-    owners = [k for k, h in enumerate(hooks) if new_root in h]
-    if len(owners) == 2 and old.active in owners:
-        new_active = next(k for k in owners if k != old.active)
-    elif owners == [old.active]:
-        new_active = old.active
-    else:
-        raise ValueError(f"root landed with unexpected coverage {owners}")
-    covered = set()
+    new_active = next(
+        (k for k, h in enumerate(hooks) if k != old.active and new_root in h),
+        old.active,
+    )
+    widths: dict[int, int] = {}
     for h in hooks:
-        covered |= h.cell_set
-    return RootedTableau(shape_of_cells(covered), tuple(hooks), new_root, new_active)
+        for i, j in h.walk:
+            if j > widths.get(i, 0):
+                widths[i] = j
+    shape = tuple(widths[i] for i in range(1, len(widths) + 1))
+    return _unchecked(shape, tuple(hooks), new_root, new_active)
 
 
-def _walk_continues(state: RootedTableau) -> bool:
-    """Whether the partner hook of an overlapping state supports the next step.
+def _attaches_right(state: RootedTableau, cell: Cell) -> bool:
+    """Whether a tail move reattaches the active hook at `cell`, right of its head.
 
-    Only two classes put a precondition on the second root hook: a singleton
-    must slide along the partner's column-1 run, and a tail exchange needs
-    the partner's tail at the root with a different size.
+    A cell another hook covers takes the attachment exactly when it is a
+    permissible cell of that hook.  An uncovered cell takes it exactly when
+    the diagram stays a partition with it added, i.e. the row above reaches
+    its column; it then closes its column too, since the row below is no
+    longer than the head's row.
     """
-    q = state.hooks[state.active]
-    o = next(k for k in state.root_hooks if k != state.active)
-    p = state.hooks[o]
-    if len(q) == 1:
-        run = p.column_one_run()
-        return len(run) >= 2 and state.root in (run[0], run[-1])
-    if state.root == q.tail and q.walk[1][0] == state.root[0]:
-        return p.tail == state.root and len(p) >= 2 and len(p) != len(q)
-    return True
+    for k, h in enumerate(state.hooks):
+        if k != state.active and cell in h:
+            return cell in h.permissible_cells()
+    i, j = cell
+    return i == 1 or state.shape[i - 2] >= j
 
 
 def apply_rule(state: RootedTableau) -> RootedTableau:
@@ -232,29 +253,11 @@ def apply_rule(state: RootedTableau) -> RootedTableau:
         return _settle(state, hooks, below_tail)
 
     if cls is HookClass.TAIL_VERTICAL:
-        base = hook.walk[1:]
         hi, hj = hook.head
-        results = []
-        for new_cell in ((hi - 1, hj), (hi, hj + 1)):
-            if new_cell[0] < 1:
-                continue
-            try:
-                trial = list(hooks)
-                trial[a] = RimHook(base + (new_cell,))
-                results.append(_settle(state, trial, new_cell))
-            except ValueError:
-                continue
-        if len(results) > 1:
-            # A statically valid overlapping attachment can still strand the
-            # walk one step later; the attachment that keeps going wins.
-            results = [
-                st for st in results if not st.overlapping or _walk_continues(st)
-            ]
-        if len(results) != 1:
-            raise ValueError(
-                f"tail move admits {len(results)} valid attachments, expected exactly 1"
-            )
-        return results[0]
+        right = (hi, hj + 1)
+        new_cell = right if _attaches_right(state, right) else (hi - 1, hj)
+        hooks[a] = RimHook(hook.walk[1:] + (new_cell,))
+        return _settle(state, hooks, new_cell)
 
     if cls is HookClass.SINGLETON:
         partners = [k for k in state.root_hooks if k != a]
@@ -333,10 +336,10 @@ def inner_involution(
         raise RuntimeError("hook-size multiset changed along the walk")
     if cur.sign != -state.sign:
         raise RuntimeError("terminal state failed to flip the sign")
+    # the walk hands back only states that pass the public constructor
+    cur = RootedTableau(cur.shape, cur.hooks, cur.root, cur.active)
+    trace[-1] = (cur, trace[-1][1])
     return cur, tuple(trace)
-
-
-iota = inner_involution
 
 
 def check_sign_lemma(trace: Trace, eps0: int) -> bool:

@@ -115,6 +115,7 @@ class RimHook:
         )
 
     def permissible_cells(self) -> frozenset[Cell]:
+        """Head, tail, and both kinds of corner: the legal root positions."""
         return (
             frozenset((self.tail, self.head))
             | self.internal_corners()
@@ -127,11 +128,6 @@ class RimHook:
     @classmethod
     def from_json(cls, data) -> "RimHook":
         return cls(tuple((int(i), int(j)) for i, j in data))
-
-
-def permissible_cells(hook: RimHook) -> frozenset[Cell]:
-    """Head, tail, and both kinds of corner: the legal root positions."""
-    return hook.permissible_cells()
 
 
 @dataclass(frozen=True)
@@ -290,11 +286,6 @@ class SpecialRimHookTableau:
             tuple(int(x) for x in data["shape"]),
             tuple(RimHook.from_json(h) for h in data["hooks"]),
         )
-
-
-def sign(tableau: SpecialRimHookTableau) -> int:
-    """Product over hooks of (-1)^(leg length)."""
-    return tableau.sign
 
 
 def _staircase_walks(start: Cell, region: frozenset[Cell]) -> Iterator[tuple[Cell, ...]]:

@@ -119,6 +119,15 @@ def test_involve_rejects_the_all_singleton_pair(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_involve_rejects_non_object_json(capsys, tmp_path):
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text("[1]")
+    code, _, err = run_cli(capsys, "involve", "--pair", str(pair_file))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "tableau, filling" in err
+
+
 # --------------------------------------------------------------- traces
 
 
@@ -184,6 +193,28 @@ def test_trace_needs_a_source(capsys):
     code, _, err = run_cli(capsys, "trace")
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_trace_root_off_the_diagram(capsys):
+    code, _, err = run_cli(
+        capsys,
+        "trace",
+        "--shape", "[2,1,1]",
+        "--type", "[2,2]",
+        "--root", "9,9",
+    )
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "(9, 9)" in err and "[2,1,1]" in err
+
+
+def test_trace_rejects_non_object_json(capsys, tmp_path):
+    state_file = tmp_path / "state.json"
+    state_file.write_text("[1]")
+    code, _, err = run_cli(capsys, "trace", "--input", str(state_file))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "shape, hooks, root, active" in err
 
 
 # --------------------------------------------------------------- posets

@@ -1,5 +1,8 @@
 """Rewrite-walk engine: classification, single rules, full walks, pair map."""
 
+import hashlib
+import json
+
 import pytest
 
 from rimhook.involution import (
@@ -9,7 +12,6 @@ from rimhook.involution import (
     check_sign_lemma,
     enumerate_standard_pairs,
     inner_involution,
-    iota,
     outer_involution,
     trace_to_json,
 )
@@ -181,8 +183,9 @@ def test_tail_move_up_a_column_strip():
 
 
 def test_tail_move_prefers_workable_attachment():
-    # Both head attachments produce structurally valid states here; only the
-    # one whose walk can actually continue (or legally stop) is kept.
+    # Both head attachments would give structurally valid states here.  The
+    # cell right of the head is uncovered and closes its row and column, so
+    # the tail-vertical rule attaches there and the walk stops.
     st = RootedTableau(
         (2, 1, 1),
         (RimHook(((3, 1), (2, 1))), RimHook(((1, 1), (1, 2)))),
@@ -243,10 +246,6 @@ def test_budget_converts_nontermination_to_error():
         inner_involution(start, budget=2)
 
 
-def test_iota_is_the_same_callable():
-    assert iota is inner_involution
-
-
 # ------------------------------------------------------- exhaustive sweep
 
 
@@ -266,6 +265,32 @@ def test_walk_is_a_sign_reversing_involution(n):
         assert back == state
         assert len(back_trace) == len(trace)
     assert seen > 0
+
+
+def test_walk_traces_match_the_pinned_hash():
+    # sha256 over the compact JSON traces of all 896 rooted walks with n <= 8,
+    # in rooted_states order; any change to a rule's outcome changes it
+    digest = hashlib.sha256()
+    walks = 0
+    for n in range(2, 9):
+        for state in rooted_states(n):
+            _, trace = inner_involution(state)
+            digest.update(json.dumps(trace_to_json(trace), separators=(",", ":")).encode())
+            walks += 1
+    assert walks == 896
+    assert digest.hexdigest() == (
+        "5e27738de18e7dbaae8f70c89b32d0b0b9d07d256284d8222d7a0c8264fe8766"
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_every_walk_state_passes_the_public_constructor(n):
+    # the engine builds intermediate states without validation; each one
+    # must still be a state the validating constructor accepts unchanged
+    for start in rooted_states(n):
+        _, trace = inner_involution(start)
+        for st, _ in trace:
+            assert RootedTableau(st.shape, st.hooks, st.root, st.active) == st
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -20,10 +20,8 @@ from rimhook import (
     enumerate_srht,
     enumerate_ssyt,
     kostka_number,
-    permissible_cells,
     render_hooks,
     render_tableau,
-    sign,
 )
 from rimhook.tableaux import enumerate_srht_all_types
 
@@ -138,16 +136,16 @@ def test_permissible_cells_of_the_four_cell_hook():
     h = RimHook(((2, 1), (2, 2), (1, 2), (1, 3)))
     assert h.internal_corners() == frozenset({(1, 2)})
     assert h.external_corners() == frozenset({(2, 2)})
-    assert permissible_cells(h) == frozenset({(2, 1), (2, 2), (1, 2), (1, 3)})
+    assert h.permissible_cells() == frozenset({(2, 1), (2, 2), (1, 2), (1, 3)})
 
 
 def test_permissible_cells_degenerate_hooks():
-    assert permissible_cells(RimHook(((1, 1),))) == frozenset({(1, 1)})
+    assert RimHook(((1, 1),)).permissible_cells() == frozenset({(1, 1)})
     # Straight hooks have no corners, only the two ends.
-    assert permissible_cells(RimHook(((1, 1), (1, 2), (1, 3)))) == frozenset(
+    assert RimHook(((1, 1), (1, 2), (1, 3))).permissible_cells() == frozenset(
         {(1, 1), (1, 3)}
     )
-    assert permissible_cells(RimHook(((3, 1), (2, 1), (1, 1)))) == frozenset(
+    assert RimHook(((3, 1), (2, 1), (1, 1))).permissible_cells() == frozenset(
         {(3, 1), (1, 1)}
     )
 
@@ -269,7 +267,7 @@ def test_tableau_accessors_and_json():
     t = enumerate_srht((2, 2), (2, 2))[0]
     assert t.type == (2, 2)
     assert t.hook_at((1, 2)) == t.hooks[1]
-    assert sign(t) == t.sign == 1
+    assert t.sign == 1
     assert SpecialRimHookTableau.from_json(t.to_json()) == t
 
 
