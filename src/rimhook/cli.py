@@ -40,11 +40,27 @@ from .symfunc import (
 from .tableaux import (
     SemistandardTableau,
     SpecialRimHookTableau,
+    _json_fields,
     enumerate_srht,
     kostka_number,
     render_filling,
     render_hooks,
 )
+
+
+# Admission bounds on --n, each the largest n whose command finished in about
+# 10 s on a 2-core machine (Python 3.11): `kostka --n 19` took 8.1 s and
+# n = 20 took 13 s (the inverse is faster: `inv-kostka --n 22`, 2.4 s);
+# `verify --n 8` took 3.2 s and n = 9 took 17 s, since it still builds every
+# (tableau, standard filling) pair.
+MAX_MATRIX_N = 19
+MAX_VERIFY_N = 8
+
+
+def _admit_n(n: int, bound: int) -> int:
+    if n > bound:
+        raise ValueError(f"n = {n} is beyond this command's bound: --n must be at most {bound}")
+    return n
 
 
 def _parse_cell(text: str) -> tuple[int, int]:
@@ -72,7 +88,7 @@ def _cmd_kostka(args) -> int:
         return 0
     if args.n is None:
         raise ValueError("need --n, or --shape with --content")
-    m = kostka_matrix(args.n)
+    m = kostka_matrix(_admit_n(args.n, MAX_MATRIX_N))
     _emit(m.to_json(), args.format, lambda: m.to_csv().rstrip("\n"))
     return 0
 
@@ -87,13 +103,13 @@ def _cmd_inv_kostka(args) -> int:
         return 0
     if args.n is None:
         raise ValueError("need --n, or --shape with --type")
-    m = inverse_kostka_matrix(args.n)
+    m = inverse_kostka_matrix(_admit_n(args.n, MAX_MATRIX_N))
     _emit(m.to_json(), args.format, lambda: m.to_csv().rstrip("\n"))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    report = verify_identities(args.n)
+    report = verify_identities(_admit_n(args.n, MAX_VERIFY_N))
 
     def text() -> str:
         lines = [
@@ -115,12 +131,10 @@ def _cmd_verify(args) -> int:
 
 
 def _load_pair(path: str) -> tuple[SpecialRimHookTableau, SemistandardTableau]:
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError("expected a JSON object with keys tableau, filling")
+    tableau, filling = _json_fields(json.loads(Path(path).read_text()), "tableau", "filling")
     return (
-        SpecialRimHookTableau.from_json(data["tableau"]),
-        SemistandardTableau.from_json(data["filling"]),
+        SpecialRimHookTableau.from_json(tableau),
+        SemistandardTableau.from_json(filling),
     )
 
 

@@ -32,6 +32,7 @@ from .tableaux import (
     RimHook,
     SemistandardTableau,
     SpecialRimHookTableau,
+    _json_fields,
     enumerate_srht,
     enumerate_ssyt,
     render_hooks,
@@ -143,13 +144,12 @@ class RootedTableau:
 
     @classmethod
     def from_json(cls, data) -> "RootedTableau":
-        if not isinstance(data, dict):
-            raise ValueError("expected a JSON object with keys shape, hooks, root, active")
+        shape, hooks, root, active = _json_fields(data, "shape", "hooks", "root", "active")
         return cls(
-            tuple(int(x) for x in data["shape"]),
-            tuple(RimHook.from_json(h) for h in data["hooks"]),
-            (int(data["root"][0]), int(data["root"][1])),
-            int(data["active"]),
+            tuple(int(x) for x in shape),
+            tuple(RimHook.from_json(h) for h in hooks),
+            (int(root[0]), int(root[1])),
+            int(active),
         )
 
     def render(self) -> str:

@@ -110,27 +110,46 @@ def shape_of_cells(cs) -> Partition:
     return tuple(parts)
 
 
+# A multiplicity this large could never be a usable partition; refusing it
+# keeps "1^99999999999" from allocating the list it names.
+_MAX_MULTIPLICITY = 10_000
+
+_FORMS = 'expected "[3,2,1]" or the multiplicity form "1^2 2^2 3"'
+
+
+def _parse_part(piece: str, token: str) -> int:
+    """One positive integer read from `piece`, a part of `token`."""
+    try:
+        value = int(piece)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"not a positive integer: {piece.strip()!r} in {token!r}; {_FORMS}")
+    return value
+
+
 def parse_partition(text: str) -> Partition:
-    """Parse "[3,2,1]" or the multiplicity form "1^2 2^2 3"."""
+    """Parse "[3,2,1]" or the multiplicity form "1^2 2^2 3".
+
+    Anything else raises a ValueError naming the offending token.
+    """
     s = text.strip()
     if s in ("", "[]", "()"):
         return ()
     if s.startswith("["):
         if not s.endswith("]"):
-            raise ValueError(f"unbalanced brackets: {text!r}")
+            raise ValueError(f"unbalanced brackets in {text!r}; {_FORMS}")
         body = s[1:-1].strip()
         if not body:
             return ()
-        return check_partition(int(tok) for tok in body.split(","))
+        return check_partition(_parse_part(tok, s) for tok in body.split(","))
     parts: list[int] = []
     for tok in s.split():
-        if "^" in tok:
-            base, _, mult = tok.partition("^")
-            if int(mult) < 1:
-                raise ValueError(f"multiplicity must be positive: {tok!r}")
-            parts.extend([int(base)] * int(mult))
-        else:
-            parts.append(int(tok))
+        base, caret, mult = tok.partition("^")
+        count = _parse_part(mult, tok) if caret else 1
+        if count > _MAX_MULTIPLICITY:
+            raise ValueError(f"multiplicity in {tok!r} exceeds {_MAX_MULTIPLICITY}")
+        parts.extend([_parse_part(base, tok)] * count)
     return check_partition(sorted(parts, reverse=True))
 
 

@@ -3,6 +3,8 @@
 The tableau-count matrix is upper unitriangular in the canonical
 (reverse-lexicographic) order; its inverse is assembled entry-by-entry
 from signed special rim-hook tableaux, never by numerical inversion.
+Both matrices count their tableaux by recursion instead of building them;
+the enumerators in `tableaux` are the reference they are tested against.
 Expansions carry exact integer coefficients in the e, s, or m basis.
 """
 
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import io
 import csv as _csv
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
@@ -23,7 +26,6 @@ from .partitions import (
     format_partition,
     parse_partition,
 )
-from .tableaux import enumerate_srht_all_types, kostka_number
 
 
 @dataclass(frozen=True)
@@ -49,13 +51,10 @@ class PartitionMatrix:
     def matmul(self, other: "PartitionMatrix") -> "PartitionMatrix":
         if self.order != other.order:
             raise ValueError("matrices indexed by different orders")
-        p = len(self.order)
+        cols = tuple(zip(*other.rows))
         prod = tuple(
-            tuple(
-                sum(self.rows[i][k] * other.rows[k][j] for k in range(p))
-                for j in range(p)
-            )
-            for i in range(p)
+            tuple(sum(map(operator.mul, row, col)) for col in cols)
+            for row in self.rows
         )
         return PartitionMatrix(self.n, self.order, prod)
 
@@ -92,14 +91,80 @@ class PartitionMatrix:
         )
 
 
+def _horizontal_strips(lam: Partition, size: int):
+    """Every nu inside lam such that lam/nu is a horizontal strip of `size`
+    cells: row i keeps between lam[i+1] and lam[i] cells."""
+    floors = lam[1:] + (0,)
+    nu = list(lam)
+
+    def take(i: int, left: int):
+        if left == 0:
+            yield tuple(x for x in nu if x)
+            return
+        if i == len(lam):
+            return
+        for d in range(min(left, lam[i] - floors[i]), -1, -1):
+            nu[i] = lam[i] - d
+            yield from take(i + 1, left - d)
+        nu[i] = lam[i]
+
+    yield from take(0, size)
+
+
+def _kostka_count(lam: Partition, mu: Partition, memo: dict) -> int:
+    """Semistandard fillings of lam with content mu, counted by peeling the
+    horizontal strip that holds the largest entry, len(mu)."""
+    if len(lam) > len(mu):
+        return 0
+    if not mu:
+        return 1
+    key = (lam, mu)
+    if key not in memo:
+        rest = mu[:-1]
+        memo[key] = sum(
+            _kostka_count(nu, rest, memo) for nu in _horizontal_strips(lam, mu[-1])
+        )
+    return memo[key]
+
+
 @lru_cache(maxsize=None)
 def kostka_matrix(n: int) -> PartitionMatrix:
     """Entry (shape, content): number of semistandard fillings."""
     order = enumerate_partitions(n)
+    memo: dict = {}
     rows = tuple(
-        tuple(kostka_number(lam, mu) for mu in order) for lam in order
+        tuple(_kostka_count(lam, mu, memo) for mu in order) for lam in order
     )
     return PartitionMatrix(n, order, rows)
+
+
+@lru_cache(maxsize=None)
+def _srht_type_counts(shape: Partition) -> tuple[tuple[Partition, int], ...]:
+    """Signed count of the special rim-hook tableaux of `shape`, per type,
+    as (type, count) pairs with nonzero counts.
+
+    Eğecioğlu–Remmel's recursion: the hook whose tail is the bottom
+    column-1 cell runs along the outer rim: no other special hook can reach a cell of the bottom row, or a
+    cell right of this hook in a row it enters.  So it climbs row by row
+    (rows indexed from 0 here), covering row i from column shape[i+1]
+    (column 1 in the bottom row) to the row's end, and stops at the end of
+    some row `top`.  That leaves nu with nu[i] = shape[i+1] - 1 for
+    i >= top and the rows above untouched; the hook's sign is
+    (-1)^(rows spanned - 1).
+    """
+    if not shape:
+        return (((), 1),)
+    ell = len(shape)
+    counts: dict[Partition, int] = {}
+    size = 0
+    for top in range(ell - 1, -1, -1):
+        size += shape[top] - (shape[top + 1] - 1 if top + 1 < ell else 0)
+        sign = -1 if (ell - 1 - top) % 2 else 1
+        nu = shape[:top] + tuple(x - 1 for x in shape[top + 1:] if x > 1)
+        for typ, c in _srht_type_counts(nu):
+            key = tuple(sorted(typ + (size,), reverse=True))
+            counts[key] = counts.get(key, 0) + sign * c
+    return tuple((typ, c) for typ, c in counts.items() if c)
 
 
 @lru_cache(maxsize=None)
@@ -109,8 +174,8 @@ def inverse_kostka_matrix(n: int) -> PartitionMatrix:
     idx = {p: i for i, p in enumerate(order)}
     grid = [[0] * len(order) for _ in order]
     for j, lam in enumerate(order):
-        for t in enumerate_srht_all_types(lam):
-            grid[idx[t.type]][j] += t.sign
+        for typ, c in _srht_type_counts(lam):
+            grid[idx[typ]][j] = c
     return PartitionMatrix(n, order, tuple(tuple(r) for r in grid))
 
 

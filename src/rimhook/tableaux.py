@@ -21,6 +21,20 @@ from .partitions import (
 )
 
 
+def _json_fields(data, *keys):
+    """The values at `keys` of a decoded JSON object, in order; a ValueError
+    names the keys when `data` is not an object or lacks one of them."""
+    expected = ", ".join(keys)
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object with keys {expected}")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ValueError(
+            f"JSON object lacks key {', '.join(missing)}; expected keys {expected}"
+        )
+    return tuple(data[k] for k in keys)
+
+
 @dataclass(frozen=True)
 class RimHook:
     """A connected strip of cells with no 2x2 block, walked tail to head.
@@ -177,7 +191,8 @@ class SemistandardTableau:
 
     @classmethod
     def from_json(cls, data) -> "SemistandardTableau":
-        return cls(tuple(tuple(int(v) for v in row) for row in data["rows"]))
+        (rows,) = _json_fields(data, "rows")
+        return cls(tuple(tuple(int(v) for v in row) for row in rows))
 
 
 def enumerate_ssyt(shape, content) -> list[SemistandardTableau]:
@@ -282,9 +297,10 @@ class SpecialRimHookTableau:
 
     @classmethod
     def from_json(cls, data) -> "SpecialRimHookTableau":
+        shape, hooks = _json_fields(data, "shape", "hooks")
         return cls(
-            tuple(int(x) for x in data["shape"]),
-            tuple(RimHook.from_json(h) for h in data["hooks"]),
+            tuple(int(x) for x in shape),
+            tuple(RimHook.from_json(h) for h in hooks),
         )
 
 

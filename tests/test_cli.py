@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import rimhook
-from rimhook.cli import main
+from rimhook.cli import MAX_MATRIX_N, MAX_VERIFY_N, main
 from rimhook.involution import RootedTableau, inner_involution, trace_to_json
 from rimhook.symfunc import inverse_kostka_matrix, kostka_matrix, PartitionMatrix
 
@@ -65,6 +65,26 @@ def test_matrix_commands_need_n_or_entry_flags(capsys):
     code, _, err = run_cli(capsys, "kostka")
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command, bound",
+    [("kostka", MAX_MATRIX_N), ("inv-kostka", MAX_MATRIX_N), ("verify", MAX_VERIFY_N)],
+)
+def test_matrix_sizes_beyond_the_bound_are_refused(capsys, command, bound):
+    # refused before any work starts, so n = 40 answers at once
+    for n in (40, bound + 1):
+        code, out, err = run_cli(capsys, command, "--n", str(n))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"--n must be at most {bound}" in err
+
+
+def test_unreadable_partition_names_the_token_and_the_forms(capsys):
+    code, _, err = run_cli(capsys, "inv-kostka", "--shape", "[3,1]", "--type", "[1^3 2]")
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "'1^3 2'" in err and "[3,2,1]" in err and "1^2 2^2 3" in err
 
 
 def test_verify_reports_identities(capsys):
@@ -126,6 +146,16 @@ def test_involve_rejects_non_object_json(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert "tableau, filling" in err
+
+
+def test_involve_rejects_a_filling_that_is_not_an_object(capsys, tmp_path):
+    fx = load_fixture("opening_pair.json")
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(json.dumps({"tableau": fx["input"]["tableau"], "filling": [1]}))
+    code, _, err = run_cli(capsys, "involve", "--pair", str(pair_file))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "rows" in err
 
 
 # --------------------------------------------------------------- traces
@@ -215,6 +245,15 @@ def test_trace_rejects_non_object_json(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert "shape, hooks, root, active" in err
+
+
+def test_trace_names_a_missing_key(capsys, tmp_path):
+    state_file = tmp_path / "state.json"
+    state_file.write_text(json.dumps({"shape": [2]}))
+    code, _, err = run_cli(capsys, "trace", "--input", str(state_file))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "hooks, root, active" in err and "shape, hooks, root, active" in err
 
 
 # --------------------------------------------------------------- posets

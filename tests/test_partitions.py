@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import nonempty_partitions, partitions
 from rimhook import (
@@ -113,6 +113,29 @@ def test_parse_rejects_garbage():
     for bad in ["[2,3]", "1^0", "abc", "[1,x]"]:
         with pytest.raises(ValueError):
             parse_partition(bad)
+
+
+def test_parse_errors_name_the_token_and_both_forms():
+    for bad, token in [("[1^3 2]", "'1^3 2'"), ("1^2^3", "'2^3'"), ("(3,2)", "'(3,2)'"),
+                       ("[3,,1]", "''"), ("2 -1", "'-1'")]:
+        with pytest.raises(ValueError) as info:
+            parse_partition(bad)
+        assert token in str(info.value)
+        assert "[3,2,1]" in str(info.value) and "1^2 2^2 3" in str(info.value)
+
+
+def test_parse_refuses_a_huge_multiplicity():
+    with pytest.raises(ValueError, match="multiplicity"):
+        parse_partition("1^99999999999")
+
+
+@given(st.one_of(st.text(), st.text(alphabet="[]^, 0123456789-")))
+def test_parse_returns_a_partition_or_raises_value_error(text):
+    try:
+        p = parse_partition(text)
+    except ValueError:
+        return
+    assert check_partition(p) == p
 
 
 @given(partitions)

@@ -5,7 +5,10 @@ plain back-substitution on the tableau-count matrix, no hooks involved.
 Disagreement between the two constructions would implicate one of them.
 """
 
+import hashlib
 import itertools
+import json
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
@@ -18,6 +21,7 @@ from rimhook import (
     SymFuncExpansion,
     conjugate,
     enumerate_partitions,
+    enumerate_srht_all_types,
     enumerate_ssyt,
     evaluate_at_ones,
     inverse_kostka_matrix,
@@ -101,12 +105,42 @@ def test_signed_matrix_equals_back_substitution(n):
     assert inverse_kostka_matrix(n) == invert_unitriangular(kostka_matrix(n))
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", [*range(9), 16])
 def test_products_are_identity(n):
     k = kostka_matrix(n)
     inv = inverse_kostka_matrix(n)
     assert k.matmul(inv).is_identity
     assert inv.matmul(k).is_identity
+
+
+# The builders count; the enumerators they replaced are the oracles.
+
+@pytest.mark.parametrize("n", range(9))
+def test_count_matrix_equals_enumeration(n):
+    m = kostka_matrix(n)
+    for lam in m.order:
+        for mu in m.order:
+            assert m.entry(lam, mu) == len(enumerate_ssyt(lam, mu)), (lam, mu)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_signed_matrix_equals_signed_tilings(n):
+    m = inverse_kostka_matrix(n)
+    for lam in m.order:
+        signed = Counter()
+        for t in enumerate_srht_all_types(lam):
+            signed[t.type] += t.sign
+        assert {mu: m.entry(mu, lam) for mu in m.order} == {
+            mu: signed[mu] for mu in m.order
+        }, lam
+
+
+def test_signed_matrix_13_matches_the_enumerator_hash():
+    # the sha256 the tiling enumerator gave for K^-1(13)
+    text = json.dumps(inverse_kostka_matrix(13).to_json(), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1f74d8d3780ebacac8c75215947c01a209acd9a53ab270dfbd50a28da41b85f8"
+    )
 
 
 def test_entry_orientation():
