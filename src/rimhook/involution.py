@@ -23,6 +23,7 @@ state that passes the constructor again.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -33,6 +34,8 @@ from .tableaux import (
     SemistandardTableau,
     SpecialRimHookTableau,
     _json_fields,
+    _json_hooks,
+    _json_ints,
     enumerate_srht,
     enumerate_ssyt,
     render_hooks,
@@ -145,11 +148,13 @@ class RootedTableau:
     @classmethod
     def from_json(cls, data) -> "RootedTableau":
         shape, hooks, root, active = _json_fields(data, "shape", "hooks", "root", "active")
+        if type(active) is not int:
+            raise ValueError(f"active: expected an integer, got {reprlib.repr(active)}")
         return cls(
-            tuple(int(x) for x in shape),
-            tuple(RimHook.from_json(h) for h in hooks),
-            (int(root[0]), int(root[1])),
-            int(active),
+            _json_ints(shape, "shape"),
+            _json_hooks(hooks),
+            _json_ints(root, "root", 2),
+            active,
         )
 
     def render(self) -> str:

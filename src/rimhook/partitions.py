@@ -96,13 +96,15 @@ def shape_of_cells(cs) -> Partition:
     rows: dict[int, set[int]] = {}
     for (i, j) in cs:
         rows.setdefault(i, set()).add(j)
+    # distinct positive indices fill 1..m exactly when there are m of them,
+    # a test whose cost does not grow with the indices themselves
     height = max(rows)
-    if set(rows) != set(range(1, height + 1)):
+    if min(rows) < 1 or len(rows) != height:
         raise ValueError("cells do not fill contiguous rows from the top")
     parts = []
     for i in range(1, height + 1):
         width = max(rows[i])
-        if rows[i] != set(range(1, width + 1)):
+        if min(rows[i]) < 1 or len(rows[i]) != width:
             raise ValueError(f"row {i} is not left-justified")
         parts.append(width)
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

@@ -4,7 +4,9 @@ functions.
 The expansion pipeline: count order-respecting fillings per shape, convert
 through the signed hook-count matrix to the elementary basis, and — for
 orders of height at most two — certify nonnegativity by an explicit
-matching whose fixed points are counted by the coefficients.
+matching whose fixed points are counted by the coefficients.  The matching
+moves one label of the filling and rewrites the tiling by a walk that sees
+the tiling alone, so each census runs one walk per tiling and direction.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .partitions import (
     check_partition,
     conjugate,
     enumerate_partitions,
+    format_partition,
 )
 from .symfunc import SymFuncExpansion, inverse_kostka_matrix
 from .tableaux import SpecialRimHookTableau, enumerate_srht_all_types
@@ -438,8 +441,6 @@ class SSCensus:
 
         fixed_by_shape: dict[str, list] = {}
         for s, rows in self.fixed:
-            from .partitions import format_partition
-
             fixed_by_shape.setdefault(format_partition(s.shape), []).append(
                 combined((s, rows))
             )
@@ -453,50 +454,34 @@ class SSCensus:
         }
 
 
-def _rooted_at(s: SpecialRimHookTableau, root) -> RootedTableau:
+def _walk_partner(s: SpecialRimHookTableau, root, end) -> SpecialRimHookTableau:
+    """The tiling on which the walk rooted at `root` of `s` ends; the walk
+    must end at the cell `end`."""
     active = next(k for k, h in enumerate(s.hooks) if root in h)
-    return RootedTableau(s.shape, s.hooks, root, active)
-
-
-def _push_longer(poset: Poset, s: SpecialRimHookTableau, rows: Rows) -> PairST:
-    """Negative 2-row pair -> positive pair one column longer on top."""
-    lam = s.shape
-    final, _ = inner_involution(_rooted_at(s, (2, lam[1])))
-    if final.root != (1, lam[0] + 1):
-        raise RuntimeError(f"walk from {lam} ended at {final.root}, not row 1")
-    s2 = SpecialRimHookTableau.from_hooks(final.hooks)
-    label = rows[1][-1]
-    row2 = rows[1][:-1]
-    rows2 = (rows[0] + (label,),) + ((row2,) if row2 else ())
-    if not is_p_tableau(poset, rows2):
-        raise RuntimeError(f"moved entry broke a filling on {lam}: {rows}")
-    return s2, rows2
-
-
-def _pull_shorter(poset: Poset, s: SpecialRimHookTableau, rows: Rows) -> PairST:
-    """Inverse of _push_longer."""
-    nu = s.shape
-    nu2 = nu[1] if len(nu) > 1 else 0
-    final, _ = inner_involution(_rooted_at(s, (1, nu[0])))
-    if final.root != (2, nu2 + 1):
-        raise RuntimeError(f"walk from {nu} ended at {final.root}, not row 2")
-    s2 = SpecialRimHookTableau.from_hooks(final.hooks)
-    label = rows[0][-1]
-    row2 = (rows[1] if len(rows) > 1 else ()) + (label,)
-    rows2 = (rows[0][:-1], row2)
-    if not is_p_tableau(poset, rows2):
-        raise RuntimeError(f"moved entry broke a filling on {nu}: {rows}")
-    return s2, rows2
+    final, _ = inner_involution(RootedTableau(s.shape, s.hooks, root, active))
+    if final.root != end:
+        raise RuntimeError(
+            f"walk from {s.shape} ended at {final.root}, not row {end[0]}"
+        )
+    return SpecialRimHookTableau.from_hooks(final.hooks)
 
 
 def stanley_stembridge_involution(poset: Poset) -> SSCensus:
     """Match every negative pair with a positive one; the leftover positive
     pairs, counted by hook-size type, are the elementary coefficients.
 
+    A negative pair of shape lam is pushed to the positive pair one column
+    longer on top: the walk rooted at (2, lam2) moves the root to
+    (1, lam1 + 1), and the last row-2 entry follows it.  The walk sees only
+    the tiling, so it runs once per tiling and direction, and every filling
+    of that tiling reuses its partner.
+
     Image test applied to each positive pair of shape nu: it is hit exactly
     when nu has a row-1 overhang of at least 2 and the entry over the end of
     row 2 is above the last row-1 entry in the order.  A failure here is a
     counterexample to the characterization and is raised, not patched.
+    Each hit pair is pulled back by the walk rooted at (1, nu1), which must
+    return the pair that hit it.
     """
     if not poset.elements:
         raise ValueError("empty poset")
@@ -504,53 +489,62 @@ def stanley_stembridge_involution(poset: Poset) -> SSCensus:
         raise ValueError("order height must be at most 2")
     n = len(poset.elements)
 
-    pairs: list[PairST] = []
+    # every tiling of a 2-row shape with the fillings of that shape
+    tilings: list[tuple[SpecialRimHookTableau, list[Rows]]] = []
     for lam in enumerate_partitions(n):
         if len(lam) > 2:
             continue
         fillings = enumerate_p_tableaux(poset, lam)
-        if not fillings:
-            continue
-        for s in enumerate_srht_all_types(lam):
-            for rows in fillings:
-                pairs.append((s, rows))
+        if fillings:
+            tilings.extend((s, fillings) for s in enumerate_srht_all_types(lam))
 
     matched: list[tuple[PairST, PairST]] = []
     image: dict[PairST, PairST] = {}
-    for s, rows in pairs:
+    for s, fillings in tilings:
         if s.sign == 1:
             continue
-        target = _push_longer(poset, s, rows)
-        if target in image:
-            raise RuntimeError("two negative pairs map to the same positive pair")
-        image[target] = (s, rows)
-        matched.append(((s, rows), target))
+        lam = s.shape
+        pushed = _walk_partner(s, (2, lam[1]), (1, lam[0] + 1))
+        for rows in fillings:
+            row2 = rows[1][:-1]
+            rows2 = (rows[0] + (rows[1][-1],),) + ((row2,) if row2 else ())
+            if not is_p_tableau(poset, rows2):
+                raise RuntimeError(f"moved entry broke a filling on {lam}: {rows}")
+            target = (pushed, rows2)
+            if target in image:
+                raise RuntimeError("two negative pairs map to the same positive pair")
+            image[target] = (s, rows)
+            matched.append(((s, rows), target))
 
     fixed: list[PairST] = []
-    for s, rows in pairs:
+    for s, fillings in tilings:
         if s.sign == -1:
             continue
         nu = s.shape
         nu2 = nu[1] if len(nu) > 1 else 0
-        hit_predicted = False
-        if nu[0] > nu2 + 1:
-            x = rows[0][nu[0] - 1]
-            y = rows[0][nu2]
-            hit_predicted = poset.lt(y, x)
-        hit = (s, rows) in image
-        if hit != hit_predicted:
-            raise RuntimeError(
-                f"image characterization counterexample: shape {nu}, rows {rows}, "
-                f"predicted {hit_predicted}, matched {hit}"
-            )
-        if hit:
-            if _pull_shorter(poset, s, rows) != image[(s, rows)]:
+        pulled = None  # walked at the first hit filling, if there is one
+        for rows in fillings:
+            hit_predicted = nu[0] > nu2 + 1 and poset.lt(rows[0][nu2], rows[0][-1])
+            hit = (s, rows) in image
+            if hit != hit_predicted:
+                raise RuntimeError(
+                    f"image characterization counterexample: shape {nu}, rows {rows}, "
+                    f"predicted {hit_predicted}, matched {hit}"
+                )
+            if not hit:
+                fixed.append((s, rows))
+                continue
+            if pulled is None:
+                pulled = _walk_partner(s, (1, nu[0]), (2, nu2 + 1))
+            rows2 = (rows[0][:-1], (rows[1] if len(rows) > 1 else ()) + (rows[0][-1],))
+            if not is_p_tableau(poset, rows2):
+                raise RuntimeError(f"moved entry broke a filling on {nu}: {rows}")
+            if (pulled, rows2) != image[(s, rows)]:
                 raise RuntimeError("matching is not self-inverse")
-        else:
-            fixed.append((s, rows))
 
     coeffs = Counter(s.type for s, _ in fixed)
-    return SSCensus(len(pairs), tuple(matched), tuple(fixed), dict(coeffs))
+    total = sum(len(fillings) for _, fillings in tilings)
+    return SSCensus(total, tuple(matched), tuple(fixed), dict(coeffs))
 
 
 # --- the full expansion -------------------------------------------------------

@@ -8,6 +8,7 @@ column 1; its sign is the product of per-hook signs (-1)^(vertical steps).
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
@@ -33,6 +34,30 @@ def _json_fields(data, *keys):
             f"JSON object lacks key {', '.join(missing)}; expected keys {expected}"
         )
     return tuple(data[k] for k in keys)
+
+
+def _json_list(value, key: str) -> list:
+    """`value` if it is a JSON list; otherwise a ValueError naming `key`."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key}: expected a list, got {reprlib.repr(value)}")
+    return value
+
+
+def _json_ints(value, key: str, length: int | None = None) -> tuple[int, ...]:
+    """A JSON list of integers, of the given length if one is given."""
+    items = _json_list(value, key)
+    if any(type(v) is not int for v in items) or length not in (None, len(items)):
+        wanted = "integers" if length is None else f"{length} integers"
+        raise ValueError(f"{key}: expected a list of {wanted}, got {reprlib.repr(value)}")
+    return tuple(items)
+
+
+def _json_hooks(value, key: str = "hooks") -> tuple[RimHook, ...]:
+    """Hooks from a JSON list of walks, each a list of [i, j] cells."""
+    return tuple(
+        RimHook(tuple(_json_ints(c, key, 2) for c in _json_list(walk, key)))
+        for walk in _json_list(value, key)
+    )
 
 
 @dataclass(frozen=True)
@@ -106,14 +131,6 @@ class RimHook:
             run.append(c)
         return tuple(run)
 
-    def predecessor(self, cell: Cell) -> Cell | None:
-        k = self.walk.index(cell)
-        return self.walk[k - 1] if k > 0 else None
-
-    def successor(self, cell: Cell) -> Cell | None:
-        k = self.walk.index(cell)
-        return self.walk[k + 1] if k + 1 < len(self.walk) else None
-
     def internal_corners(self) -> frozenset[Cell]:
         """Cells (i,j) with both (i+1,j) and (i,j+1) in the hook."""
         s = self.cell_set
@@ -141,7 +158,7 @@ class RimHook:
 
     @classmethod
     def from_json(cls, data) -> "RimHook":
-        return cls(tuple((int(i), int(j)) for i, j in data))
+        return _json_hooks([data], "hook")[0]
 
 
 @dataclass(frozen=True)
@@ -192,7 +209,7 @@ class SemistandardTableau:
     @classmethod
     def from_json(cls, data) -> "SemistandardTableau":
         (rows,) = _json_fields(data, "rows")
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        return cls(tuple(_json_ints(row, "rows") for row in _json_list(rows, "rows")))
 
 
 def enumerate_ssyt(shape, content) -> list[SemistandardTableau]:
@@ -263,7 +280,9 @@ class SpecialRimHookTableau:
                 raise ValueError(f"hook does not touch column 1: {h.walk}")
             covered |= h.cell_set
             total += len(h)
-        if covered != cells(self.shape) or total != sum(self.shape):
+        # the weight test comes first, so a huge stated shape is refused
+        # before its cells are built
+        if total != sum(self.shape) or covered != cells(self.shape):
             raise ValueError("hooks do not tile the shape")
         tails = [h.tail[0] for h in self.hooks]
         if tails != sorted(tails, reverse=True):
@@ -286,12 +305,6 @@ class SpecialRimHookTableau:
             s *= h.sign
         return s
 
-    def hook_at(self, cell: Cell) -> RimHook:
-        for h in self.hooks:
-            if cell in h:
-                return h
-        raise KeyError(cell)
-
     def to_json(self) -> dict:
         return {"shape": list(self.shape), "hooks": [h.to_json() for h in self.hooks]}
 
@@ -299,8 +312,8 @@ class SpecialRimHookTableau:
     def from_json(cls, data) -> "SpecialRimHookTableau":
         shape, hooks = _json_fields(data, "shape", "hooks")
         return cls(
-            tuple(int(x) for x in shape),
-            tuple(RimHook.from_json(h) for h in hooks),
+            _json_ints(shape, "shape"),
+            _json_hooks(hooks),
         )
 
 

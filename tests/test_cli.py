@@ -256,6 +256,30 @@ def test_trace_names_a_missing_key(capsys, tmp_path):
     assert "hooks, root, active" in err and "shape, hooks, root, active" in err
 
 
+_SIX_STEP = load_fixture("six_step_state.json")["initial"]
+_OPENING = load_fixture("opening_pair.json")["input"]
+
+
+@pytest.mark.parametrize(
+    "command, flag, payload, key",
+    [
+        ("involve", "--pair", {**_OPENING, "tableau": {**_OPENING["tableau"], "shape": 5}}, "shape"),
+        ("involve", "--pair", {**_OPENING, "filling": {"rows": [5]}}, "rows"),
+        ("trace", "--input", {**_SIX_STEP, "root": 5}, "root"),
+        ("trace", "--input", {**_SIX_STEP, "root": [1]}, "root"),
+        ("trace", "--input", {**_SIX_STEP, "hooks": 7}, "hooks"),
+    ],
+    ids=["shape-int", "rows-of-ints", "root-int", "root-short", "hooks-int"],
+)
+def test_wrongly_typed_json_values_name_the_key(capsys, tmp_path, command, flag, payload, key):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run_cli(capsys, command, flag, str(path))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert key in err
+
+
 # --------------------------------------------------------------- posets
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rimhook.involution import (
     HookClass,
@@ -244,6 +245,37 @@ def test_budget_converts_nontermination_to_error():
     start = RootedTableau.from_json(fx["initial"])
     with pytest.raises(RuntimeError):
         inner_involution(start, budget=2)
+
+
+# any decoded JSON value; integers are unbounded, so huge coordinates occur
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+_cell = st.lists(st.integers(-1, 6) | st.integers(), min_size=2, max_size=2)
+_cellish = st.lists(st.lists(_cell, min_size=1, max_size=5), max_size=4)
+_state_like = st.fixed_dictionaries(
+    {
+        "shape": st.lists(st.integers(-1, 6) | st.integers(), max_size=4) | _json_values,
+        "hooks": _cellish | _json_values,
+        "root": _cell | _json_values,
+        "active": st.integers(-1, 4) | _json_values,
+    }
+)
+_SIX_STEP = load_fixture("six_step_state.json")["initial"]
+_six_step_with_one_value_replaced = st.sampled_from(sorted(_SIX_STEP)).flatmap(
+    lambda key: _json_values.map(lambda v: {**_SIX_STEP, key: v})
+)
+
+
+@given(_json_values | _state_like | _six_step_with_one_value_replaced)
+def test_state_from_any_json_value_is_a_state_or_a_value_error(data):
+    try:
+        state = RootedTableau.from_json(data)
+    except ValueError:
+        return
+    assert RootedTableau.from_json(state.to_json()) == state
 
 
 # ------------------------------------------------------- exhaustive sweep

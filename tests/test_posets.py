@@ -1,10 +1,13 @@
 """Posets, incomparability graphs, and chromatic expansions."""
 
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
 
+from rimhook import posets
 from rimhook.partitions import enumerate_partitions
 from rimhook.posets import (
     Graph,
@@ -256,6 +259,44 @@ def test_census_json_layout(npo):
     assert sorted(data["fixed_by_shape"]) == ["[2,2]", "[3,1]", "[4]"]
     entry = data["matched"][0]["negative"]
     assert set(entry) == {"shape", "rows", "hooks"}
+
+
+def test_census_json_matches_the_pinned_hash():
+    # sha256 over the compact census JSON of the 93 posets of height <= 2
+    # with 1 to 6 elements, in enumeration order
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 7):
+        for p in enumerate_posets(n):
+            if height(p) > 2:
+                continue
+            data = stanley_stembridge_involution(p).to_json()
+            digest.update(json.dumps(data, separators=(",", ":")).encode() + b"\n")
+            count += 1
+    assert count == 93
+    assert digest.hexdigest() == (
+        "51a35d1c322612c19f717a2cee791a321b8a4fdf7bb4bd1270a3d153d2bf6112"
+    )
+
+
+def test_census_walks_each_start_once(monkeypatch):
+    walk = posets.inner_involution
+    starts = []
+
+    def counting(state, *args, **kwargs):
+        starts.append((state.shape, state.hooks, state.root))
+        return walk(state, *args, **kwargs)
+
+    monkeypatch.setattr(posets, "inner_involution", counting)
+    walked = 0
+    for p in enumerate_posets(6):
+        if height(p) > 2:
+            continue
+        starts.clear()
+        stanley_stembridge_involution(p)
+        assert len(set(starts)) == len(starts)
+        walked += len(starts)
+    assert walked > 0
 
 
 def test_matching_requires_short_posets():

@@ -266,7 +266,6 @@ def test_tableau_validation():
 def test_tableau_accessors_and_json():
     t = enumerate_srht((2, 2), (2, 2))[0]
     assert t.type == (2, 2)
-    assert t.hook_at((1, 2)) == t.hooks[1]
     assert t.sign == 1
     assert SpecialRimHookTableau.from_json(t.to_json()) == t
 
