@@ -257,12 +257,17 @@ def _cmd_corpus(args) -> int:
             for k in range(1, 5):
                 if evaluate_at_ones(result.e_expansion, k) != chromatic_polynomial_value(graph, k):
                     failures += 1
+            # every (3+1)-free order is e-positive (Stanley-Stembridge,
+            # proved by Hikita), so a negative coefficient is a pipeline bug
+            e_positive = result.e_expansion.is_positive()
+            if not e_positive:
+                failures += 1
             if height(poset) <= 2:
                 if result.pair_census is None or dict(result.pair_census.coefficients) != dict(
                     result.e_expansion.coeffs
                 ):
                     failures += 1
-                if result.e_expansion.is_positive():
+                if e_positive:
                     positive += 1
         summary.append(
             {

@@ -7,6 +7,11 @@ orders of height at most two — certify nonnegativity by an explicit
 matching whose fixed points are counted by the coefficients.  The matching
 moves one label of the filling and rewrites the tiling by a walk that sees
 the tiling alone, so each census runs one walk per tiling and direction.
+
+Fillings are counted column by column and proper colorings from the
+partitions of the order into chains; neither is built.  The enumerators
+(`enumerate_p_tableaux`, deletion–contraction) stay for the census, which
+needs real fillings, and as oracles for the tests.
 """
 
 from __future__ import annotations
@@ -212,6 +217,41 @@ class Graph:
             adj[v].add(u)
         return {v: frozenset(s) for v, s in adj.items()}
 
+    @cached_property
+    def independent_partition_counts(self) -> tuple[int, ...]:
+        """a_j, the number of partitions of the vertices into j non-empty
+        independent sets, for j = 0..n.
+
+        A subset DP over vertex bitmasks: the block holding the lowest vertex
+        of a subset is chosen first, so each partition is built once."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        n = len(self.vertices)
+        nbrs = [0] * n
+        for u, v in self.edges:
+            nbrs[index[u]] |= 1 << index[v]
+            nbrs[index[v]] |= 1 << index[u]
+        independent = [True] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = (mask & -mask).bit_length() - 1
+            rest = mask & (mask - 1)
+            independent[mask] = independent[rest] and not nbrs[low] & rest
+        # parts[mask][j]: partitions of the vertex set `mask` into j blocks
+        parts: list[list[int]] = [[1]]
+        for mask in range(1, 1 << n):
+            lowbit = mask & -mask
+            rest = mask ^ lowbit
+            row = [0] * (mask.bit_count() + 1)
+            sub = rest
+            while True:  # blocks lowbit | sub, sub running over subsets of rest
+                if independent[lowbit | sub]:
+                    for j, c in enumerate(parts[rest ^ sub]):
+                        row[j + 1] += c
+                if not sub:
+                    break
+                sub = (sub - 1) & rest
+            parts.append(row)
+        return tuple(parts[-1])
+
     def to_json(self) -> dict:
         return {
             "vertices": list(self.vertices),
@@ -229,39 +269,20 @@ def incomparability_graph(poset: Poset) -> Graph:
 
 
 def chromatic_polynomial_value(graph: Graph, k: int) -> int:
-    """Number of proper colorings with colors 1..k, by exhaustive
-    backtracking (isolated vertices contribute a closed-form factor)."""
+    """Number of proper colorings with colors 1..k.
+
+    A coloring that uses exactly j colors is a partition of the vertices
+    into j independent sets together with an injective choice of their
+    colors, so the count is sum_j a_j * k(k-1)...(k-j+1), with a_j from
+    `Graph.independent_partition_counts`."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    n = len(graph.vertices)
-    if n == 0:
-        return 1
-    if k == 0:
-        return 0
-    adj = graph.adjacency
-    order = sorted(graph.vertices, key=lambda v: -len(adj[v]))
-    pos = {v: i for i, v in enumerate(order)}
-    prior = [
-        [pos[u] for u in adj[v] if pos[u] < i] for i, v in enumerate(order)
-    ]
-    # positions from which every remaining vertex is isolated
-    free_from = n
-    while free_from > 0 and not adj[order[free_from - 1]]:
-        free_from -= 1
-    colors = [0] * n
-
-    def count(p: int) -> int:
-        if p >= free_from:
-            return k ** (n - p)
-        banned = {colors[q] for q in prior[p]}
-        total = 0
-        for c in range(k):
-            if c not in banned:
-                colors[p] = c
-                total += count(p + 1)
-        return total
-
-    return count(0)
+    total = 0
+    falling = 1  # k(k-1)...(k-j+1)
+    for j, a in enumerate(graph.independent_partition_counts):
+        total += a * falling
+        falling *= k - j
+    return total
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -400,8 +421,80 @@ def enumerate_p_tableaux(poset: Poset, shape) -> list[Rows]:
     return out
 
 
+def _p_tableau_counter(poset: Poset):
+    """Filling counts for any shapes of weight |P|, sharing one memo.
+
+    A column is a chain read top to bottom, and the row rule compares only
+    adjacent columns.  So the shape is filled column by column, from the
+    left: the number of ways to finish depends only on the column heights
+    still to fill, the elements still free, and the entries of the last
+    column in the rows the next column reaches.  Shapes share suffixes of
+    column heights, so one memo serves every shape asked of the counter.
+
+    Rows are packed as n-bit fields of one integer: a chain sets bit e of
+    field r when its row-r entry is e, and a column hands the next one the
+    elements below each of its entries, so "no entry below its left
+    neighbour" is one AND.
+    """
+    elems = poset.elements
+    n = len(elems)
+    bit = {x: i for i, x in enumerate(elems)}
+    below = [0] * n
+    above = [0] * n
+    for x, y in poset.less:
+        below[bit[y]] |= 1 << bit[x]
+        above[bit[x]] |= 1 << bit[y]
+    # chains[h]: (element mask, row fields, forbidden fields for each cut)
+    chains: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(n + 1)]
+
+    def grow(mask: int, rows: int, forbids: tuple[int, ...], top: int):
+        h = len(forbids) - 1
+        chains[h].append((mask, rows, forbids))
+        ext = above[top] if h else (1 << n) - 1
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            e = low.bit_length() - 1
+            grow(mask | low, rows | low << h * n,
+                 forbids + (forbids[-1] | below[e] << h * n,), e)
+
+    grow(0, 0, (0,), 0)
+    memo: dict[tuple, int] = {}
+
+    def finish(heights: tuple[int, ...], free: int, forbid: int) -> int:
+        if not heights:
+            return 1  # the weights agree, so no element is left
+        key = (heights, free, forbid)
+        if key in memo:
+            return memo[key]
+        h, rest = heights[0], heights[1:]
+        cut = rest[0] if rest else 0
+        total = 0
+        for mask, rows, forbids in chains[h]:
+            if mask & free == mask and not rows & forbid:
+                total += finish(rest, free ^ mask, forbids[cut])
+        memo[key] = total
+        return total
+
+    full = (1 << n) - 1
+    return lambda shape: finish(conjugate(shape), full, 0)
+
+
 def count_p_tableaux(poset: Poset, shape) -> int:
-    return len(enumerate_p_tableaux(poset, shape))
+    """Number of order-respecting fillings of the shape (see
+    `enumerate_p_tableaux`), counted column by column from the left.
+
+    With F(heights, free, left) the number of ways to fill columns of the
+    given heights from the free elements next to a column `left`,
+    F((), 0, -) = 1 and F((h, *rest), free, left) is the sum, over the
+    h-chains C of free elements with no entry below its left neighbour in
+    `left`, of F(rest, free - C, C cut to the height of rest's first
+    column).  F is memoised, so no filling is built.
+    """
+    shape = check_partition(shape)
+    if sum(shape) != len(poset.elements):
+        raise ValueError("shape weight must equal the number of elements")
+    return _p_tableau_counter(poset)(shape)
 
 
 def is_p_tableau(poset: Poset, rows: Rows) -> bool:
@@ -570,19 +663,22 @@ def csf(poset: Poset) -> CsfResult:
         raise ValueError("expansion requires a (3+1)-free order")
     n = len(poset.elements)
     h = height(poset) if n else 0
+    count = _p_tableau_counter(poset)
     fill_counts: dict[Partition, int] = {}
     s_coeffs: dict[Partition, int] = {}
     for lam in enumerate_partitions(n):
         if len(lam) > h and n:
             continue  # a column must be a chain
-        f = count_p_tableaux(poset, lam)
+        f = count(lam)
         if f:
             fill_counts[lam] = f
             s_coeffs[conjugate(lam)] = f
     inv = inverse_kostka_matrix(n)
+    column = {lam: j for j, lam in enumerate(inv.order)}
+    filled = [(column[lam], f) for lam, f in fill_counts.items()]
     e_coeffs = {
-        mu: sum(inv.entry(mu, lam) * f for lam, f in fill_counts.items())
-        for mu in inv.order
+        mu: sum(row[j] * f for j, f in filled)
+        for mu, row in zip(inv.order, inv.rows)
     }
     census = stanley_stembridge_involution(poset) if n and h <= 2 else None
     return CsfResult(

@@ -200,8 +200,11 @@ class SemistandardTableau:
 
     @property
     def is_standard(self) -> bool:
-        n = sum(len(r) for r in self.rows)
-        return self.content() == (1,) * n
+        """The entries are 1..n, each once; a sort, so its cost does not
+        grow with the size of an entry."""
+        flat = [v for row in self.rows for v in row]
+        flat.sort()
+        return flat == list(range(1, len(flat) + 1))
 
     def to_json(self) -> dict:
         return {"shape": list(self.shape), "rows": [list(r) for r in self.rows]}

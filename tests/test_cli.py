@@ -139,6 +139,23 @@ def test_involve_rejects_the_all_singleton_pair(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_involve_rejects_a_huge_entry_without_counting_up_to_it(capsys, tmp_path):
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(
+        json.dumps(
+            {
+                "tableau": {"shape": [2], "hooks": [[[1, 1], [1, 2]]]},
+                "filling": {"shape": [2], "rows": [[1, 10**12]]},
+            }
+        )
+    )
+    code, _, err = run_cli(capsys, "involve", "--pair", str(pair_file))
+    assert code == 1
+    assert err.startswith("error:")
+    assert "standard" in err
+    assert "Traceback" not in err
+
+
 def test_involve_rejects_non_object_json(capsys, tmp_path):
     pair_file = tmp_path / "pair.json"
     pair_file.write_text("[1]")

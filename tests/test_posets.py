@@ -201,6 +201,20 @@ def test_three_coloring_routes_agree(n):
             assert evaluate_polynomial(poly, k) == want
 
 
+@pytest.mark.parametrize("n", range(0, 7))
+def test_chain_partition_route_matches_deletion_contraction(n):
+    for p in enumerate_posets(n):
+        g = incomparability_graph(p)
+        poly = chromatic_polynomial(g)
+        for k in range(8):
+            assert chromatic_polynomial_value(g, k) == evaluate_polynomial(poly, k)
+
+
+def test_chromatic_value_rejects_negative_k():
+    with pytest.raises(ValueError):
+        chromatic_polynomial_value(incomparability_graph(chain(2)), -1)
+
+
 # ------------------------------------------------------------ fillings
 
 
@@ -209,6 +223,23 @@ def test_chain_fillings_are_standard_tableaux():
         p = chain(n)
         for lam in enumerate_partitions(n):
             assert count_p_tableaux(p, lam) == len(enumerate_ssyt(lam, (1,) * n))
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_counted_fillings_match_the_enumeration(n):
+    for p in enumerate_posets(n):
+        for lam in enumerate_partitions(n):
+            assert count_p_tableaux(p, lam) == len(enumerate_p_tableaux(p, lam)), (
+                p.to_json(),
+                lam,
+            )
+
+
+def test_filling_count_rejects_a_shape_of_the_wrong_weight(npo):
+    with pytest.raises(ValueError):
+        count_p_tableaux(npo, (2, 1))
+    with pytest.raises(ValueError):
+        count_p_tableaux(npo, (3, 2))
 
 
 def test_fillings_respect_height(npo):
