@@ -5,13 +5,17 @@ The expansion pipeline: count order-respecting fillings per shape, convert
 through the signed hook-count matrix to the elementary basis, and — for
 orders of height at most two — certify nonnegativity by an explicit
 matching whose fixed points are counted by the coefficients.  The matching
-moves one label of the filling and rewrites the tiling by a walk that sees
-the tiling alone, so each census runs one walk per tiling and direction.
+is a product of two maps: a walk that rewrites the tiling and sees the
+tiling alone, and a move of one label of the filling.  So the census checks
+each certificate once per tiling (one walk per tiling and direction) or
+once per filling (one move per filling and direction), which for a product
+map says the same as checking every pair; `stanley_stembridge_involution`
+lists where each check sits.
 
 Fillings are counted column by column and proper colorings from the
 partitions of the order into chains; neither is built.  The enumerators
-(`enumerate_p_tableaux`, deletion–contraction) stay for the census, which
-needs real fillings, and as oracles for the tests.
+(`enumerate_p_tableaux`, on bitmasks, and deletion–contraction) stay for
+the census, which needs real fillings, and as oracles for the tests.
 """
 
 from __future__ import annotations
@@ -382,42 +386,60 @@ def evaluate_polynomial(coeffs, k: int) -> int:
 def enumerate_p_tableaux(poset: Poset, shape) -> list[Rows]:
     """Bijective fillings of the shape by poset elements: columns strictly
     increase in the order, a row entry is never strictly above its right
-    neighbor.  Fillings come out in lexicographic row-major label order."""
+    neighbor.  Fillings come out in lexicographic row-major label order.
+
+    Elements are numbered in sorted-label order, so a cell's candidates are
+    one mask, free & above(entry over it) & not-below(left neighbour), and
+    taking its bits lowest first keeps the label order."""
     shape = check_partition(shape)
     if sum(shape) != len(poset.elements):
         raise ValueError("shape weight must equal the number of elements")
-    cells_rm = [
-        (i, j) for i, row in enumerate(shape, 1) for j in range(1, row + 1)
-    ]
     order = sorted(poset.elements)
-    grid: dict[tuple[int, int], str] = {}
-    used: set[str] = set()
+    n = len(order)
+    bit = {x: i for i, x in enumerate(order)}
+    full = (1 << n) - 1
+    above = [0] * n
+    not_below = [full] * n
+    for x, y in poset.less:
+        above[bit[x]] |= 1 << bit[y]
+        not_below[bit[y]] &= ~(1 << bit[x])
+    # row-major cells: the position of the cell over each and of its left
+    # neighbour, -1 where there is none
+    up: list[int] = []
+    left: list[int] = []
+    starts = [0]
+    for i, row in enumerate(shape):
+        for j in range(row):
+            up.append(starts[i - 1] + j if i else -1)
+            left.append(starts[i] + j - 1 if j else -1)
+        starts.append(starts[i] + row)
+    spans = list(zip(starts, starts[1:]))
+    size = len(up)
+    if not size:
+        return [()]
+    last = size - 1
+    label = order.__getitem__
+    vals = [0] * size
     out: list[Rows] = []
 
-    def fill(pos: int):
-        if pos == len(cells_rm):
-            out.append(
-                tuple(
-                    tuple(grid[(i, j)] for j in range(1, shape[i - 1] + 1))
-                    for i in range(1, len(shape) + 1)
-                )
-            )
+    def fill(pos: int, free: int):
+        cand = free
+        if up[pos] >= 0:
+            cand &= above[vals[up[pos]]]
+        if left[pos] >= 0:
+            cand &= not_below[vals[left[pos]]]
+        if pos == last:  # one element is left
+            if cand:
+                vals[pos] = cand.bit_length() - 1
+                out.append(tuple(tuple(map(label, vals[a:b])) for a, b in spans))
             return
-        i, j = cells_rm[pos]
-        for x in order:
-            if x in used:
-                continue
-            if i > 1 and not poset.lt(grid[(i - 1, j)], x):
-                continue
-            if j > 1 and poset.lt(x, grid[(i, j - 1)]):
-                continue
-            used.add(x)
-            grid[(i, j)] = x
-            fill(pos + 1)
-            used.discard(x)
-            del grid[(i, j)]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            vals[pos] = low.bit_length() - 1
+            fill(pos + 1, free ^ low)
 
-    fill(0)
+    fill(0, full)
     return out
 
 
@@ -498,16 +520,18 @@ def count_p_tableaux(poset: Poset, shape) -> int:
 
 
 def is_p_tableau(poset: Poset, rows: Rows) -> bool:
+    less = poset.less
     flat = [x for r in rows for x in r]
     if sorted(flat) != sorted(poset.elements):
         return False
     for i in range(len(rows) - 1):
-        for j in range(len(rows[i + 1])):
-            if not poset.lt(rows[i][j], rows[i + 1][j]):
+        upper, lower = rows[i], rows[i + 1]
+        for j in range(len(lower)):
+            if (upper[j], lower[j]) not in less:
                 return False
     for row in rows:
         for a, b in zip(row, row[1:]):
-            if poset.lt(b, a):
+            if (b, a) in less:
                 return False
     return True
 
@@ -524,13 +548,16 @@ class SSCensus:
     coefficients: dict[Partition, int]
 
     def to_json(self) -> dict:
+        """Pairs that share a tiling share its `shape` and `hooks` lists:
+        each tiling is serialised once, not once per filling."""
+        tilings: dict[int, tuple[list, list]] = {}  # by id: the census holds them
+
         def combined(pair: PairST) -> dict:
             s, rows = pair
-            return {
-                "shape": list(s.shape),
-                "rows": [list(r) for r in rows],
-                "hooks": [h.to_json() for h in s.hooks],
-            }
+            parts = tilings.get(id(s))
+            if parts is None:
+                parts = tilings[id(s)] = (list(s.shape), [h.to_json() for h in s.hooks])
+            return {"shape": parts[0], "rows": [list(r) for r in rows], "hooks": parts[1]}
 
         fixed_by_shape: dict[str, list] = {}
         for s, rows in self.fixed:
@@ -566,15 +593,35 @@ def stanley_stembridge_involution(poset: Poset) -> SSCensus:
     A negative pair of shape lam is pushed to the positive pair one column
     longer on top: the walk rooted at (2, lam2) moves the root to
     (1, lam1 + 1), and the last row-2 entry follows it.  The walk sees only
-    the tiling, so it runs once per tiling and direction, and every filling
-    of that tiling reuses its partner.
+    the tiling and the move only the filling, so the push is a product of a
+    tiling map and a filling map, and each certificate is checked once per
+    tiling or once per filling:
 
-    Image test applied to each positive pair of shape nu: it is hit exactly
-    when nu has a row-1 overhang of at least 2 and the entry over the end of
-    row 2 is above the last row-1 entry in the order.  A failure here is a
-    counterexample to the characterization and is raised, not patched.
-    Each hit pair is pulled back by the walk rooted at (1, nu1), which must
-    return the pair that hit it.
+    - "moved entry broke a filling": each filling of a shape with a negative
+      tiling is moved once and tested with `is_p_tableau`.
+    - Injectivity: no two negative tilings share a walk partner, and no two
+      fillings of a shape share a moved filling.  Two negative pairs share
+      an image exactly when their tilings share a partner and their
+      fillings a moved filling; moved fillings of different shapes differ,
+      and so do partners, since a walk that ends where it must leaves the
+      partner the shape of the moved filling.
+    - Image test: a positive pair of shape nu is predicted to be hit exactly
+      when nu has a row-1 overhang of at least 2 and the entry over the end
+      of row 2 is above the last row-1 entry in the order.  The prediction
+      reads only the filling, and (t, rows) is hit exactly when t is a walk
+      partner and rows a moved filling of its shape.  So for a partner the
+      predicted fillings must be the moved ones, and for any other positive
+      tiling there must be none.  A failure is a counterexample to the
+      characterization and is raised, not patched.
+    - Self-inverse: the walk rooted at (1, nu1) of each partner must return
+      its negative tiling, and moving each hit filling's last row-1 entry
+      back must give a filling that passes `is_p_tableau` and is the one
+      that was moved.
+
+    For a product map these checks say the same as checking every pair.
+    So a census runs one walk per tiling and direction and one move per
+    filling and direction; only the lists of pairs it returns grow with
+    tilings times fillings.
     """
     if not poset.elements:
         raise ValueError("empty poset")
@@ -582,62 +629,80 @@ def stanley_stembridge_involution(poset: Poset) -> SSCensus:
         raise ValueError("order height must be at most 2")
     n = len(poset.elements)
 
-    # every tiling of a 2-row shape with the fillings of that shape
-    tilings: list[tuple[SpecialRimHookTableau, list[Rows]]] = []
+    # every 2-row shape that has fillings, with its tilings and fillings
+    shapes: list[tuple[Partition, list[SpecialRimHookTableau], list[Rows]]] = []
     for lam in enumerate_partitions(n):
         if len(lam) > 2:
             continue
         fillings = enumerate_p_tableaux(poset, lam)
         if fillings:
-            tilings.extend((s, fillings) for s in enumerate_srht_all_types(lam))
+            shapes.append((lam, enumerate_srht_all_types(lam), fillings))
 
     matched: list[tuple[PairST, PairST]] = []
-    image: dict[PairST, PairST] = {}
-    for s, fillings in tilings:
-        if s.sign == 1:
+    source: dict[SpecialRimHookTableau, SpecialRimHookTableau] = {}  # partner -> tiling
+    moved_from: dict[Partition, dict[Rows, Rows]] = {}  # lam -> moved filling -> filling
+    for lam, tilings, fillings in shapes:
+        negatives = [s for s in tilings if s.sign == -1]
+        if not negatives:
             continue
-        lam = s.shape
-        pushed = _walk_partner(s, (2, lam[1]), (1, lam[0] + 1))
+        moved: dict[Rows, Rows] = {}
         for rows in fillings:
             row2 = rows[1][:-1]
             rows2 = (rows[0] + (rows[1][-1],),) + ((row2,) if row2 else ())
             if not is_p_tableau(poset, rows2):
                 raise RuntimeError(f"moved entry broke a filling on {lam}: {rows}")
-            target = (pushed, rows2)
-            if target in image:
+            if rows2 in moved:
                 raise RuntimeError("two negative pairs map to the same positive pair")
-            image[target] = (s, rows)
-            matched.append(((s, rows), target))
+            moved[rows2] = rows
+        moved_from[lam] = moved
+        for s in negatives:
+            pushed = _walk_partner(s, (2, lam[1]), (1, lam[0] + 1))
+            if pushed in source:
+                raise RuntimeError("two negative pairs map to the same positive pair")
+            source[pushed] = s
+            matched.extend(((s, rows), (pushed, rows2)) for rows2, rows in moved.items())
 
     fixed: list[PairST] = []
-    for s, fillings in tilings:
-        if s.sign == -1:
-            continue
-        nu = s.shape
+    coeffs: dict[Partition, int] = {}
+    for nu, tilings, fillings in shapes:
         nu2 = nu[1] if len(nu) > 1 else 0
-        pulled = None  # walked at the first hit filling, if there is one
-        for rows in fillings:
-            hit_predicted = nu[0] > nu2 + 1 and poset.lt(rows[0][nu2], rows[0][-1])
-            hit = (s, rows) in image
-            if hit != hit_predicted:
-                raise RuntimeError(
-                    f"image characterization counterexample: shape {nu}, rows {rows}, "
-                    f"predicted {hit_predicted}, matched {hit}"
-                )
-            if not hit:
-                fixed.append((s, rows))
+        predicted = [
+            nu[0] > nu2 + 1 and poset.lt(rows[0][nu2], rows[0][-1]) for rows in fillings
+        ]
+        unhit = [rows for rows, p in zip(fillings, predicted) if not p]
+        checked: set[Partition | None] = set()  # source shapes; None: no walk's partner
+        for t in tilings:
+            if t.sign == -1:
                 continue
-            if pulled is None:
-                pulled = _walk_partner(s, (1, nu[0]), (2, nu2 + 1))
-            rows2 = (rows[0][:-1], (rows[1] if len(rows) > 1 else ()) + (rows[0][-1],))
-            if not is_p_tableau(poset, rows2):
-                raise RuntimeError(f"moved entry broke a filling on {nu}: {rows}")
-            if (pulled, rows2) != image[(s, rows)]:
-                raise RuntimeError("matching is not self-inverse")
+            s = source.get(t)
+            lam = None if s is None else s.shape
+            if lam not in checked:
+                hits = moved_from.get(lam, {})
+                for rows, p in zip(fillings, predicted):
+                    if p != (rows in hits):
+                        raise RuntimeError(
+                            f"image characterization counterexample: shape {nu}, "
+                            f"rows {rows}, predicted {p}, matched {not p}"
+                        )
+                for rows, before in hits.items():
+                    back = (rows[0][:-1], (rows[1] if len(rows) > 1 else ()) + (rows[0][-1],))
+                    if not is_p_tableau(poset, back):
+                        raise RuntimeError(f"moved entry broke a filling on {nu}: {rows}")
+                    if back != before:
+                        raise RuntimeError("matching is not self-inverse")
+                checked.add(lam)
+            if s is None:
+                rest = fillings
+            else:
+                if _walk_partner(t, (1, nu[0]), (2, nu2 + 1)) != s:
+                    raise RuntimeError("matching is not self-inverse")
+                rest = unhit
+            fixed.extend((t, rows) for rows in rest)
+            if rest:
+                coeffs[t.type] = coeffs.get(t.type, 0) + len(rest)
 
-    coeffs = Counter(s.type for s, _ in fixed)
-    total = sum(len(fillings) for _, fillings in tilings)
-    return SSCensus(total, tuple(matched), tuple(fixed), dict(coeffs))
+    total = sum(len(tilings) * len(fillings) for _, tilings, fillings in shapes)
+    return SSCensus(total, tuple(matched), tuple(fixed), coeffs)
 
 
 # --- the full expansion -------------------------------------------------------

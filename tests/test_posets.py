@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -235,6 +236,48 @@ def test_counted_fillings_match_the_enumeration(n):
             )
 
 
+def brute_p_tableaux(poset: Poset, shape) -> list:
+    """Lay every permutation of the sorted elements into the shape row by
+    row and keep the fillings that pass `is_p_tableau`."""
+    out = []
+    for perm in itertools.permutations(sorted(poset.elements)):
+        rows, start = [], 0
+        for length in shape:
+            rows.append(perm[start : start + length])
+            start += length
+        if is_p_tableau(poset, tuple(rows)):
+            out.append(tuple(rows))
+    return out
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_enumerated_fillings_match_brute_force(n):
+    for p in enumerate_posets(n):
+        for lam in enumerate_partitions(n):
+            assert enumerate_p_tableaux(p, lam) == brute_p_tableaux(p, lam), (
+                p.to_json(),
+                lam,
+            )
+
+
+def test_enumerated_fillings_use_sorted_labels():
+    p = Poset.from_relations("cab", [("c", "a")])
+    assert enumerate_p_tableaux(p, (3,)) == [
+        (("a", "b", "c"),),
+        (("b", "c", "a"),),
+        (("c", "a", "b"),),
+        (("c", "b", "a"),),
+    ]
+    assert enumerate_p_tableaux(p, (2, 1)) == [(("c", "b"), ("a",))]
+
+
+def test_enumeration_rejects_a_shape_of_the_wrong_weight(npo):
+    with pytest.raises(ValueError):
+        enumerate_p_tableaux(npo, (2, 1))
+    with pytest.raises(ValueError):
+        enumerate_p_tableaux(npo, (2, 0, 2))
+
+
 def test_filling_count_rejects_a_shape_of_the_wrong_weight(npo):
     with pytest.raises(ValueError):
         count_p_tableaux(npo, (2, 1))
@@ -308,6 +351,68 @@ def test_census_json_matches_the_pinned_hash():
     assert digest.hexdigest() == (
         "51a35d1c322612c19f717a2cee791a321b8a4fdf7bb4bd1270a3d153d2bf6112"
     )
+
+
+def test_census_counts_at_seven_elements_match_the_pinned_hash():
+    # one line per census of the 164 posets of height <= 2 on 7 elements:
+    # pairs, matched, fixed and the coefficients
+    digest = hashlib.sha256()
+    count = 0
+    for p in enumerate_posets(7):
+        if height(p) > 2:
+            continue
+        c = stanley_stembridge_involution(p)
+        coeffs = sorted([list(mu), k] for mu, k in c.coefficients.items())
+        line = [c.total_pairs, len(c.matched), len(c.fixed), coeffs]
+        digest.update((json.dumps(line, separators=(",", ":")) + "\n").encode())
+        count += 1
+    assert count == 164
+    assert digest.hexdigest() == (
+        "34d5eedb3161962c011f716021f6ee647f16e13788a8bffd046662a78b5a95d1"
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_census_accounts_for_every_pair(n):
+    for p in enumerate_posets(n):
+        if height(p) > 2:
+            continue
+        c = stanley_stembridge_involution(p)
+        assert c.total_pairs == 2 * len(c.matched) + len(c.fixed)
+        assert c.coefficients == Counter(s.type for s, _ in c.fixed)
+
+
+def test_census_raises_on_a_shared_partner(npo, monkeypatch):
+    walk = posets._walk_partner
+    first = []
+
+    def one_partner(s, root, end):
+        partner = walk(s, root, end)
+        if root[0] == 2:  # a push: every negative tiling gets the first partner
+            first.append(partner)
+            return first[0]
+        return partner
+
+    monkeypatch.setattr(posets, "_walk_partner", one_partner)
+    with pytest.raises(RuntimeError, match="two negative pairs map to the same"):
+        stanley_stembridge_involution(npo)
+
+
+def test_census_raises_when_the_pull_misses(npo, monkeypatch):
+    walk = posets._walk_partner
+
+    def stay(s, root, end):
+        return walk(s, root, end) if root[0] == 2 else s
+
+    monkeypatch.setattr(posets, "_walk_partner", stay)
+    with pytest.raises(RuntimeError, match="matching is not self-inverse"):
+        stanley_stembridge_involution(npo)
+
+
+def test_census_raises_when_a_moved_filling_breaks(npo, monkeypatch):
+    monkeypatch.setattr(posets, "is_p_tableau", lambda poset, rows: False)
+    with pytest.raises(RuntimeError, match="moved entry broke a filling"):
+        stanley_stembridge_involution(npo)
 
 
 def test_census_walks_each_start_once(monkeypatch):
