@@ -32,6 +32,7 @@ from .posets import (
     stanley_stembridge_involution,
 )
 from .symfunc import (
+    _srht_type_counts,
     evaluate_at_ones,
     inverse_kostka_matrix,
     kostka_matrix,
@@ -48,18 +49,23 @@ from .tableaux import (
 )
 
 
-# Admission bounds on --n, each the largest n whose command finished in about
+# Admission bounds on n, each the largest n whose command finished in about
 # 10 s on a 2-core machine (Python 3.11): `kostka --n 19` took 8.1 s and
 # n = 20 took 13 s (the inverse is faster: `inv-kostka --n 22`, 2.4 s);
 # `verify --n 8` took 3.2 s and n = 9 took 17 s, since it still builds every
-# (tableau, standard filling) pair.
+# (tableau, standard filling) pair; `inv-kostka --shape 1^48`, among the
+# slowest shapes of its weight, took 7.2 s (243 MiB) and 1^49 took 10.1 s.
+# `corpus --max-elements 8` takes about 90 s, but n = 9 would grow all
+# 183,231 posets on 9 elements, so 8 is the bound there.
 MAX_MATRIX_N = 19
 MAX_VERIFY_N = 8
+MAX_ENTRY_N = 48
+MAX_CORPUS_N = 8
 
 
-def _admit_n(n: int, bound: int) -> int:
+def _admit_n(n: int, bound: int, flag: str = "--n") -> int:
     if n > bound:
-        raise ValueError(f"n = {n} is beyond this command's bound: --n must be at most {bound}")
+        raise ValueError(f"n = {n} is beyond this command's bound: {flag} must be at most {bound}")
     return n
 
 
@@ -75,9 +81,11 @@ def _load_poset(path: str) -> Poset:
     return parse_poset(Path(path).read_text())
 
 
-def _emit(payload, fmt: str, text_fn):
+def _emit(payload_fn, fmt: str, text_fn):
+    """Print `payload_fn()` as JSON or `text_fn()` as text; only the chosen
+    one is built."""
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload_fn(), indent=2))
     else:
         print(text_fn())
 
@@ -89,22 +97,22 @@ def _cmd_kostka(args) -> int:
     if args.n is None:
         raise ValueError("need --n, or --shape with --content")
     m = kostka_matrix(_admit_n(args.n, MAX_MATRIX_N))
-    _emit(m.to_json(), args.format, lambda: m.to_csv().rstrip("\n"))
+    _emit(m.to_json, args.format, lambda: m.to_csv().rstrip("\n"))
     return 0
 
 
 def _cmd_inv_kostka(args) -> int:
     if args.shape and args.type:
-        total = sum(
-            t.sign
-            for t in enumerate_srht(parse_partition(args.shape), parse_partition(args.type))
-        )
-        print(total)
+        shape, typ = parse_partition(args.shape), parse_partition(args.type)
+        if sum(shape) != sum(typ):
+            raise ValueError("shape and type have different weights")
+        _admit_n(sum(shape), MAX_ENTRY_N, "the weight of --shape")
+        print(dict(_srht_type_counts(shape)).get(typ, 0))
         return 0
     if args.n is None:
         raise ValueError("need --n, or --shape with --type")
     m = inverse_kostka_matrix(_admit_n(args.n, MAX_MATRIX_N))
-    _emit(m.to_json(), args.format, lambda: m.to_csv().rstrip("\n"))
+    _emit(m.to_json, args.format, lambda: m.to_csv().rstrip("\n"))
     return 0
 
 
@@ -126,7 +134,7 @@ def _cmd_verify(args) -> int:
             )
         return "\n".join(lines)
 
-    _emit(report.to_json(), args.format, text)
+    _emit(report.to_json, args.format, text)
     return 0 if report.ok else 1
 
 
@@ -154,10 +162,12 @@ def _cmd_involve(args) -> int:
             ]
         )
 
-    payload = {
-        "input": {"tableau": s.to_json(), "filling": t.to_json(), "sign": s.sign},
-        "output": {"tableau": s2.to_json(), "filling": t2.to_json(), "sign": s2.sign},
-    }
+    def payload() -> dict:
+        return {
+            "input": {"tableau": s.to_json(), "filling": t.to_json(), "sign": s.sign},
+            "output": {"tableau": s2.to_json(), "filling": t2.to_json(), "sign": s2.sign},
+        }
+
     _emit(payload, args.format, text)
     return 0
 
@@ -197,13 +207,13 @@ def _cmd_trace(args) -> int:
         blocks.append(f"sign {trace[0][0].sign:+d} -> {final.sign:+d}")
         return "\n".join(blocks)
 
-    _emit(trace_to_json(trace), args.format, text)
+    _emit(lambda: trace_to_json(trace), args.format, text)
     return 0
 
 
 def _cmd_csf(args) -> int:
     result = csf(_load_poset(args.poset))
-    _emit(result.to_json(), args.format, result.e_expansion.format_text)
+    _emit(result.to_json, args.format, result.e_expansion.format_text)
     return 0
 
 
@@ -230,7 +240,7 @@ def _cmd_ss(args) -> int:
         lines.append(f"coefficients: {coeff}")
         return "\n".join(lines)
 
-    _emit(census.to_json(), args.format, text)
+    _emit(census.to_json, args.format, text)
     return 0
 
 
@@ -241,9 +251,10 @@ def _cmd_ab_free(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    max_n = _admit_n(args.max_elements, MAX_CORPUS_N, "--max-elements")
     rng = random.Random(args.seed)
     summary = []
-    for n in range(1, args.max_elements + 1):
+    for n in range(1, max_n + 1):
         posets = list(enumerate_posets(n))
         if args.seed is not None:
             rng.shuffle(posets)  # order only; the aggregate is unchanged
@@ -296,7 +307,7 @@ def _cmd_corpus(args) -> int:
         lines.append("all checks passed" if total_fail == 0 else f"FAILURES: {total_fail}")
         return "\n".join(lines)
 
-    _emit(summary, args.format, text)
+    _emit(lambda: summary, args.format, text)
     return 0 if all(r["failures"] == 0 for r in summary) else 1
 
 

@@ -16,6 +16,10 @@ Fillings are counted column by column and proper colorings from the
 partitions of the order into chains; neither is built.  The enumerators
 (`enumerate_p_tableaux`, on bitmasks, and deletion–contraction) stay for
 the census, which needs real fillings, and as oracles for the tests.
+
+Elements are labels at the boundary (`Poset.less`, fillings, JSON); inside,
+every order algorithm reads one set of bit masks, `Poset._order`, with the
+bits numbered in sorted-label order.
 """
 
 from __future__ import annotations
@@ -40,6 +44,29 @@ Rows = tuple[tuple[str, ...], ...]
 PairST = tuple[SpecialRimHookTableau, Rows]
 
 
+def _bits(mask: int):
+    """Indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _masks(labels, pairs) -> tuple[list[int], list[int]]:
+    """For each of `labels`, the mask of the labels before it in `pairs`
+    and the mask of those after it; bit i stands for labels[i].  A pair
+    naming anything else is refused."""
+    bit = {x: i for i, x in enumerate(labels)}
+    below = [0] * len(labels)
+    above = [0] * len(labels)
+    for x, y in pairs:
+        if x not in bit or y not in bit:
+            raise ValueError(f"relation {x} < {y} uses unknown elements")
+        above[bit[x]] |= 1 << bit[y]
+        below[bit[y]] |= 1 << bit[x]
+    return below, above
+
+
 @dataclass(frozen=True)
 class Poset:
     """Elements with a strict order relation, stored transitively closed."""
@@ -50,44 +77,30 @@ class Poset:
     def __post_init__(self):
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate elements")
-        universe = set(self.elements)
-        for x, y in self.less:
-            if x not in universe or y not in universe:
-                raise ValueError(f"relation {x} < {y} uses unknown elements")
-            if x == y:
+        labels, below, above = self._order  # refuses unknown elements
+        for i, x in enumerate(labels):
+            other = above[i] & below[i] & ~(1 << i)
+            if other:
+                raise ValueError(f"cycle between {x} and {labels[other.bit_length() - 1]}")
+            if above[i] >> i & 1:
                 raise ValueError(f"reflexive strict relation {x} < {x}")
-            if (y, x) in self.less:
-                raise ValueError(f"cycle between {x} and {y}")
-        for x, y in self.less:
-            for z in self.elements:
-                if (y, z) in self.less and (x, z) not in self.less:
-                    raise ValueError("relation is not transitively closed")
+        for up in above:  # whatever is above something above x is above x
+            if any(above[j] & ~up for j in _bits(up)):
+                raise ValueError("relation is not transitively closed")
 
     @classmethod
     def from_relations(cls, elements, relations) -> "Poset":
         """Build from any generating set of strict relations (covers are
         fine); the transitive closure is computed here."""
         elements = tuple(elements)
-        idx = {x: i for i, x in enumerate(elements)}
-        n = len(elements)
-        mat = [[False] * n for _ in range(n)]
-        for x, y in relations:
-            if x not in idx or y not in idx:
-                raise ValueError(f"relation {x} < {y} uses unknown elements")
-            mat[idx[x]][idx[y]] = True
-        for k in range(n):
-            for i in range(n):
-                if mat[i][k]:
-                    row_k = mat[k]
-                    row_i = mat[i]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
+        labels = sorted(set(elements))
+        _, rows = _masks(labels, relations)
+        for k, row_k in enumerate(rows):  # Warshall; round k leaves row k alone
+            for i, row in enumerate(rows):
+                if row >> k & 1:
+                    rows[i] = row | row_k
         less = frozenset(
-            (elements[i], elements[j])
-            for i in range(n)
-            for j in range(n)
-            if mat[i][j]
+            (labels[i], labels[j]) for i, row in enumerate(rows) for j in _bits(row)
         )
         return cls(elements, less)
 
@@ -104,11 +117,13 @@ class Poset:
         return x != y and (x, y) not in self.less and (y, x) not in self.less
 
     @cached_property
-    def _down(self) -> dict[str, frozenset[str]]:
-        return {
-            x: frozenset(y for y in self.elements if (y, x) in self.less)
-            for x in self.elements
-        }
+    def _order(self) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
+        """(labels, below, above): the labels in sorted order and, for each,
+        the mask of the elements below it and of those above it; bit i
+        stands for labels[i].  Every order algorithm below reads this."""
+        labels = tuple(sorted(self.elements))
+        below, above = _masks(labels, self.less)
+        return labels, tuple(below), tuple(above)
 
     def to_json(self) -> dict:
         return {
@@ -155,44 +170,52 @@ def parse_poset(text: str) -> Poset:
 
 
 def height(poset: Poset) -> int:
-    """Number of elements in a longest chain."""
+    """Number of elements in a longest chain: the number of times the
+    minimal elements can be peeled off before none are left."""
     if not poset.elements:
         raise ValueError("empty poset has no height")
-    best: dict[str, int] = {}
-
-    def chain_to(x) -> int:
-        if x not in best:
-            below = poset._down[x]
-            best[x] = 1 + max((chain_to(y) for y in below), default=0)
-        return best[x]
-
-    return max(chain_to(x) for x in poset.elements)
+    _, below, _ = poset._order
+    left = (1 << len(below)) - 1
+    rounds = 0
+    while left:
+        left = sum(1 << i for i in _bits(left) if below[i] & left)
+        rounds += 1
+    return rounds
 
 
-def _chains(poset: Poset, size: int) -> list[tuple[str, ...]]:
+def _chains(above, size: int) -> list[int]:
+    """Masks of the chains of `size` elements, each grown upward from its
+    least element, so each is found once."""
     out = []
-    for combo in itertools.combinations(poset.elements, size):
-        if all(
-            not poset.incomparable(x, y) for x, y in itertools.combinations(combo, 2)
-        ):
-            out.append(combo)
+
+    def grow(mask: int, top: int, missing: int):
+        if not missing:
+            out.append(mask)
+            return
+        for j in _bits(above[top]):
+            grow(mask | 1 << j, j, missing - 1)
+
+    for i in range(len(above)):
+        grow(1 << i, i, size - 1)
     return out
 
 
 def is_ab_free(poset: Poset, a: int, b: int) -> bool:
     """No induced copy of an a-chain next to a completely incomparable
-    b-chain."""
+    b-chain: every b-chain meets the comparability mask of every a-chain
+    (the a-chain together with everything below or above one of its
+    elements)."""
     if a < 1 or b < 1:
         raise ValueError("chain sizes must be positive")
-    a_chains = _chains(poset, a)
-    b_chains = _chains(poset, b) if b != a else a_chains
+    _, below, above = poset._order
+    a_chains = _chains(above, a)
+    b_chains = _chains(above, b) if b != a else a_chains
     for ca in a_chains:
-        sa = set(ca)
-        for cb in b_chains:
-            if sa & set(cb):
-                continue
-            if all(poset.incomparable(x, y) for x in ca for y in cb):
-                return False
+        reach = ca
+        for i in _bits(ca):
+            reach |= below[i] | above[i]
+        if any(not cb & reach for cb in b_chains):
+            return False
     return True
 
 
@@ -264,10 +287,13 @@ class Graph:
 
 
 def incomparability_graph(poset: Poset) -> Graph:
+    labels, below, above = poset._order
+    n = len(labels)
     edges = frozenset(
-        tuple(sorted((x, y)))
-        for x, y in itertools.combinations(poset.elements, 2)
-        if poset.incomparable(x, y)
+        (labels[i], labels[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if not (below[i] | above[i]) >> j & 1
     )
     return Graph(poset.elements, edges)
 
@@ -388,21 +414,13 @@ def enumerate_p_tableaux(poset: Poset, shape) -> list[Rows]:
     increase in the order, a row entry is never strictly above its right
     neighbor.  Fillings come out in lexicographic row-major label order.
 
-    Elements are numbered in sorted-label order, so a cell's candidates are
-    one mask, free & above(entry over it) & not-below(left neighbour), and
+    The order's bits follow the sorted labels, so a cell's candidates are
+    one mask, free & above(entry over it) & ~below(left neighbour), and
     taking its bits lowest first keeps the label order."""
     shape = check_partition(shape)
     if sum(shape) != len(poset.elements):
         raise ValueError("shape weight must equal the number of elements")
-    order = sorted(poset.elements)
-    n = len(order)
-    bit = {x: i for i, x in enumerate(order)}
-    full = (1 << n) - 1
-    above = [0] * n
-    not_below = [full] * n
-    for x, y in poset.less:
-        above[bit[x]] |= 1 << bit[y]
-        not_below[bit[y]] &= ~(1 << bit[x])
+    labels, below, above = poset._order
     # row-major cells: the position of the cell over each and of its left
     # neighbour, -1 where there is none
     up: list[int] = []
@@ -418,7 +436,7 @@ def enumerate_p_tableaux(poset: Poset, shape) -> list[Rows]:
     if not size:
         return [()]
     last = size - 1
-    label = order.__getitem__
+    label = list(labels).__getitem__  # cheaper to call than a tuple's
     vals = [0] * size
     out: list[Rows] = []
 
@@ -427,7 +445,7 @@ def enumerate_p_tableaux(poset: Poset, shape) -> list[Rows]:
         if up[pos] >= 0:
             cand &= above[vals[up[pos]]]
         if left[pos] >= 0:
-            cand &= not_below[vals[left[pos]]]
+            cand -= cand & below[vals[left[pos]]]
         if pos == last:  # one element is left
             if cand:
                 vals[pos] = cand.bit_length() - 1
@@ -439,7 +457,7 @@ def enumerate_p_tableaux(poset: Poset, shape) -> list[Rows]:
             vals[pos] = low.bit_length() - 1
             fill(pos + 1, free ^ low)
 
-    fill(0, full)
+    fill(0, (1 << size) - 1)
     return out
 
 
@@ -458,26 +476,17 @@ def _p_tableau_counter(poset: Poset):
     elements below each of its entries, so "no entry below its left
     neighbour" is one AND.
     """
-    elems = poset.elements
-    n = len(elems)
-    bit = {x: i for i, x in enumerate(elems)}
-    below = [0] * n
-    above = [0] * n
-    for x, y in poset.less:
-        below[bit[y]] |= 1 << bit[x]
-        above[bit[x]] |= 1 << bit[y]
+    _, below, above = poset._order
+    n = len(below)
+    full = (1 << n) - 1
     # chains[h]: (element mask, row fields, forbidden fields for each cut)
     chains: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(n + 1)]
 
     def grow(mask: int, rows: int, forbids: tuple[int, ...], top: int):
         h = len(forbids) - 1
         chains[h].append((mask, rows, forbids))
-        ext = above[top] if h else (1 << n) - 1
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            e = low.bit_length() - 1
-            grow(mask | low, rows | low << h * n,
+        for e in _bits(above[top] if h else full):
+            grow(mask | 1 << e, rows | 1 << e + h * n,
                  forbids + (forbids[-1] | below[e] << h * n,), e)
 
     grow(0, 0, (0,), 0)
@@ -498,7 +507,6 @@ def _p_tableau_counter(poset: Poset):
         memo[key] = total
         return total
 
-    full = (1 << n) - 1
     return lambda shape: finish(conjugate(shape), full, 0)
 
 
@@ -781,14 +789,14 @@ def csf_monomial_from_colorings(poset: Poset) -> SymFuncExpansion:
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _order_ideals(poset: Poset) -> list[frozenset[str]]:
-    out = []
-    elems = poset.elements
-    for bits in range(1 << len(elems)):
-        subset = frozenset(x for i, x in enumerate(elems) if bits >> i & 1)
-        if all(poset._down[x] <= subset for x in subset):
-            out.append(subset)
-    return out
+def _order_ideals(poset: Poset) -> list[int]:
+    """Masks of the down-closed sets of elements, in increasing order."""
+    _, below, _ = poset._order
+    return [
+        mask
+        for mask in range(1 << len(below))
+        if not any(below[i] & ~mask for i in _bits(mask))
+    ]
 
 
 def _rank(values) -> list[int]:
@@ -799,25 +807,16 @@ def _rank(values) -> list[int]:
 def canonical_form(poset: Poset) -> tuple:
     """Isomorphism-invariant key: minimal relation matrix over relabelings
     compatible with an iterated degree refinement."""
-    elems = poset.elements
-    n = len(elems)
-    idx = {x: i for i, x in enumerate(elems)}
-    less = [[False] * n for _ in range(n)]
-    for x, y in poset.less:
-        less[idx[x]][idx[y]] = True
-    color = _rank(
-        [
-            (sum(less[j][i] for j in range(n)), sum(less[i]))
-            for i in range(n)
-        ]
-    )
+    _, below, above = poset._order
+    n = len(below)
+    color = _rank([(below[i].bit_count(), above[i].bit_count()) for i in range(n)])
     while True:
         refined = _rank(
             [
                 (
                     color[i],
-                    tuple(sorted(color[j] for j in range(n) if less[j][i])),
-                    tuple(sorted(color[j] for j in range(n) if less[i][j])),
+                    tuple(sorted(color[j] for j in _bits(below[i]))),
+                    tuple(sorted(color[j] for j in _bits(above[i]))),
                 )
                 for i in range(n)
             ]
@@ -834,9 +833,7 @@ def canonical_form(poset: Poset) -> tuple:
         *(itertools.permutations(b) for b in blocks)
     ):
         perm = [i for block in arrangement for i in block]
-        mat = tuple(
-            less[perm[i]][perm[j]] for i in range(n) for j in range(n)
-        )
+        mat = tuple(above[i] >> j & 1 == 1 for i in perm for j in perm)
         if best is None or mat < best:
             best = mat
     return (n, best)
@@ -856,8 +853,9 @@ def enumerate_posets(n: int) -> tuple[Poset, ...]:
     new = labels[-1]
     out: dict[tuple, Poset] = {}
     for base in enumerate_posets(n - 1):
+        old = base._order[0]
         for ideal in _order_ideals(base):
-            less = set(base.less) | {(x, new) for x in ideal}
+            less = set(base.less) | {(old[i], new) for i in _bits(ideal)}
             candidate = Poset(labels, frozenset(less))
             key = canonical_form(candidate)
             if key not in out:

@@ -11,9 +11,12 @@ from pathlib import Path
 import pytest
 
 import rimhook
-from rimhook.cli import MAX_MATRIX_N, MAX_VERIFY_N, main
+from rimhook.cli import MAX_CORPUS_N, MAX_ENTRY_N, MAX_MATRIX_N, MAX_VERIFY_N, main
 from rimhook.involution import RootedTableau, inner_involution, trace_to_json
+from rimhook.partitions import enumerate_partitions, format_partition
+from rimhook.posets import SSCensus
 from rimhook.symfunc import inverse_kostka_matrix, kostka_matrix, PartitionMatrix
+from rimhook.tableaux import enumerate_srht
 
 from conftest import FIXTURES, load_fixture
 
@@ -59,6 +62,33 @@ def test_inv_kostka_single_entry(capsys):
     )
     assert code == 0
     assert out.strip() == "-2"
+
+
+def test_inv_kostka_entries_match_the_enumerator(capsys):
+    for n in range(8):
+        for shape in enumerate_partitions(n):
+            for typ in enumerate_partitions(n):
+                code, out, err = run_cli(
+                    capsys, "inv-kostka", "--shape", format_partition(shape),
+                    "--type", format_partition(typ),
+                )
+                assert code == 0 and err == ""
+                assert int(out) == sum(t.sign for t in enumerate_srht(shape, typ)), (shape, typ)
+
+
+def test_inv_kostka_entry_rejects_mismatched_weights(capsys):
+    code, out, err = run_cli(capsys, "inv-kostka", "--shape", "[3,1]", "--type", "[2,1]")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: shape and type have different weights"
+
+
+def test_inv_kostka_entry_beyond_the_bound_is_refused(capsys):
+    # 1^n is among the slowest shapes of its weight; refused before any work
+    for n in (MAX_ENTRY_N + 1, 5000):
+        code, out, err = run_cli(capsys, "inv-kostka", "--shape", f"1^{n}", "--type", f"1^{n}")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"the weight of --shape must be at most {MAX_ENTRY_N}" in err
 
 
 def test_matrix_commands_need_n_or_entry_flags(capsys):
@@ -323,6 +353,18 @@ def test_csf_rejects_forbidden_order(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_text_output_builds_no_json(capsys, monkeypatch):
+    commands = [("csf", "--poset", EXAMPLE_POSET), ("ss-involution", "--poset", EXAMPLE_POSET)]
+    plain = [run_cli(capsys, *argv) for argv in commands]
+
+    def refuse(self):
+        raise AssertionError("text output serialised the census")
+
+    monkeypatch.setattr(SSCensus, "to_json", refuse)
+    assert [run_cli(capsys, *argv) for argv in commands] == plain
+    assert [code for code, _, _ in plain] == [0, 0]
+
+
 def test_ss_involution_text(capsys):
     code, out, _ = run_cli(capsys, "ss-involution", "--poset", EXAMPLE_POSET)
     assert code == 0
@@ -379,6 +421,14 @@ def test_corpus_json_rows(capsys):
     assert [r["n"] for r in rows] == [1, 2, 3]
     assert [r["posets"] for r in rows] == [1, 2, 5]
     assert all(r["failures"] == 0 for r in rows)
+
+
+def test_corpus_beyond_the_bound_is_refused(capsys):
+    # 9 elements would mean growing all 183,231 posets; refused at once
+    code, out, err = run_cli(capsys, "corpus", "--max-elements", str(MAX_CORPUS_N + 1))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"--max-elements must be at most {MAX_CORPUS_N}" in err
 
 
 # ----------------------------------------------------------- exit codes

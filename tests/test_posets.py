@@ -7,6 +7,7 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rimhook import posets
 from rimhook.partitions import enumerate_partitions
@@ -129,6 +130,112 @@ def test_height():
 
 def test_height_of_fence(npo):
     assert height(npo) == 2
+
+
+def reversed_copy(p: Poset) -> Poset:
+    """The same order with upper-case labels and the elements listed in
+    reverse, so the element order is not the sorted label order."""
+    return Poset(
+        tuple(x.upper() for x in reversed(p.elements)),
+        frozenset((x.upper(), y.upper()) for x, y in p.less),
+    )
+
+
+def small_posets_and_copies():
+    for n in range(6):
+        for p in enumerate_posets(n):
+            yield p
+            yield reversed_copy(p)
+
+
+def is_chain(p: Poset, subset) -> bool:
+    return all(p.lt(x, y) or p.lt(y, x) for x, y in itertools.combinations(subset, 2))
+
+
+def test_height_is_the_longest_chain():
+    for p in small_posets_and_copies():
+        if not p.elements:
+            continue
+        longest = max(
+            size
+            for size in range(1, len(p) + 1)
+            for subset in itertools.combinations(p.elements, size)
+            if is_chain(p, subset)
+        )
+        assert height(p) == longest, p.to_json()
+
+
+def test_ab_freeness_matches_a_search_over_label_subsets():
+    for p in small_posets_and_copies():
+        for a, b in itertools.product(range(1, 4), repeat=2):
+            found = any(
+                not set(ca) & set(cb)
+                and is_chain(p, cb)
+                and all(p.incomparable(x, y) for x in ca for y in cb)
+                for ca in itertools.combinations(p.elements, a)
+                if is_chain(p, ca)
+                for cb in itertools.combinations(p.elements, b)
+            )
+            assert is_ab_free(p, a, b) == (not found), (p.to_json(), a, b)
+
+
+def naive_closure(pairs) -> frozenset:
+    closure = set(pairs)
+    while True:
+        implied = {(x, z) for x, y in closure for w, z in closure if y == w} - closure
+        if not implied:
+            return frozenset(closure)
+        closure |= implied
+
+
+def is_strict_order(elements, less) -> bool:
+    known = set(elements)
+    return all(
+        x in known and y in known and x != y and (y, x) not in less for x, y in less
+    ) and all((x, z) in less for x, y in less for w, z in less if y == w)
+
+
+_LABELS = "abcdefg"
+
+
+@given(st.data())
+def test_from_relations_is_the_naive_closure(data):
+    elements = data.draw(st.lists(st.sampled_from(_LABELS), unique=True, max_size=7))
+    relations = []
+    if elements:
+        label = st.sampled_from(elements)
+        relations = data.draw(st.lists(st.tuples(label, label), max_size=10))
+        if data.draw(st.booleans()):  # acyclic: every pair points rightward
+            relations = [
+                (x, y) if elements.index(x) < elements.index(y) else (y, x)
+                for x, y in relations
+                if x != y
+            ]
+    closure = naive_closure(relations)
+    if any(x == y for x, y in closure):
+        with pytest.raises(ValueError):
+            Poset.from_relations(elements, relations)
+    else:
+        p = Poset.from_relations(elements, relations)
+        assert p.elements == tuple(elements)
+        assert p.less == closure
+
+
+@given(st.data())
+def test_poset_validation_matches_the_definition(data):
+    elements = data.draw(st.lists(st.sampled_from(_LABELS), unique=True, max_size=7))
+    label = st.sampled_from(_LABELS + "z")  # z is never an element
+    less = data.draw(st.frozensets(st.tuples(label, label), max_size=10))
+    if elements and data.draw(st.booleans()):  # an order, perhaps with a pair dropped
+        forward = st.sampled_from(list(itertools.combinations(elements, 2)) or [None])
+        less = naive_closure(p for p in data.draw(st.lists(forward, max_size=8)) if p)
+        if less and data.draw(st.booleans()):
+            less = less - {data.draw(st.sampled_from(sorted(less)))}
+    if is_strict_order(elements, less):
+        assert Poset(tuple(elements), less).less == less
+    else:
+        with pytest.raises(ValueError):
+            Poset(tuple(elements), less)
 
 
 # ----------------------------------------------------- induced freeness
@@ -523,7 +630,18 @@ def test_adjoined_maximum_appends_a_singleton_part(n):
 
 
 def test_poset_counts_up_to_isomorphism():
-    assert [len(enumerate_posets(n)) for n in range(7)] == [1, 1, 2, 5, 16, 63, 318]
+    assert [len(enumerate_posets(n)) for n in range(8)] == [1, 1, 2, 5, 16, 63, 318, 2045]
+
+
+def test_enumeration_matches_the_pinned_hash():
+    # sha256 over the compact JSON of every enumerated poset, n = 0..7 in order
+    digest = hashlib.sha256()
+    for n in range(8):
+        for p in enumerate_posets(n):
+            digest.update((json.dumps(p.to_json(), separators=(",", ":")) + "\n").encode())
+    assert digest.hexdigest() == (
+        "1efaaf045c37c496a8fc83308b44f485d7e7c2d213d9f8f0778db758c5ace26e"
+    )
 
 
 def test_canonical_form_ignores_labels(npo):
