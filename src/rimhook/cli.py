@@ -7,9 +7,11 @@ parse error.  All output is deterministic for fixed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .involution import (
@@ -81,11 +83,56 @@ def _load_poset(path: str) -> Poset:
     return parse_poset(Path(path).read_text())
 
 
+def _indented_json(obj) -> str:
+    """Exactly `json.dumps(obj, indent=2)` for the types payloads hold: dicts
+    with str keys, lists, tuples, str, int, True, False and None.  Anything
+    else raises TypeError.  CPython's `indent=2` path is its pure-Python
+    encoder; this one encodes a list object met twice at one depth once,
+    since `SSCensus.to_json` shares each tiling's lists among its fillings.
+    Ids key the memo safely: `obj` keeps every list alive during the call."""
+    memo: dict[tuple[int, int], str] = {}
+
+    def encode(o, depth: int) -> str:
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, (list, tuple)):
+            key = (id(o), depth)
+            text = memo.get(key)
+            if text is None:
+                if o:
+                    sep = "\n" + "  " * (depth + 1)
+                    items = [encode(v, depth + 1) for v in o]
+                    text = "[" + sep + ("," + sep).join(items) + "\n" + "  " * depth + "]"
+                else:
+                    text = "[]"
+                memo[key] = text
+            return text
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            sep = "\n" + "  " * (depth + 1)
+            items = [  # a key that is not a str raises TypeError here
+                encode_basestring_ascii(k) + ": " + encode(v, depth + 1) for k, v in o.items()
+            ]
+            return "{" + sep + ("," + sep).join(items) + "\n" + "  " * depth + "}"
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    return encode(obj, 0)
+
+
 def _emit(payload_fn, fmt: str, text_fn):
     """Print `payload_fn()` as JSON or `text_fn()` as text; only the chosen
     one is built."""
     if fmt == "json":
-        print(json.dumps(payload_fn(), indent=2))
+        print(_indented_json(payload_fn()))
     else:
         print(text_fn())
 
@@ -311,7 +358,10 @@ def _cmd_corpus(args) -> int:
     return 0 if all(r["failures"] == 0 for r in summary) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: `parse_args` returns a fresh
+    namespace on each call, so `main` may serve many requests with it."""
     parser = argparse.ArgumentParser(
         prog="rimhook",
         description="Signed rim-hook tableaux, inverse Kostka matrices, and "
@@ -381,9 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -25,6 +25,7 @@ bits numbered in sorted-label order.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -38,7 +39,12 @@ from .partitions import (
     format_partition,
 )
 from .symfunc import SymFuncExpansion, inverse_kostka_matrix
-from .tableaux import SpecialRimHookTableau, enumerate_srht_all_types
+from .tableaux import (
+    SpecialRimHookTableau,
+    _json_fields,
+    _json_list,
+    enumerate_srht_all_types,
+)
 
 Rows = tuple[tuple[str, ...], ...]
 PairST = tuple[SpecialRimHookTableau, Rows]
@@ -133,9 +139,21 @@ class Poset:
 
     @classmethod
     def from_json(cls, data) -> "Poset":
-        return cls.from_relations(
-            data["elements"], [tuple(r) for r in data["relations"]]
-        )
+        """The inverse of `to_json`: `elements` is a list of strings and
+        `relations` a list of [x, y] string pairs; any other value is a
+        ValueError naming its key."""
+        elements, relations = _json_fields(data, "elements", "relations")
+        elements = _json_list(elements, "elements")
+        if any(type(x) is not str for x in elements):
+            raise ValueError(f"elements: expected a list of strings, got {reprlib.repr(elements)}")
+        pairs = []
+        for r in _json_list(relations, "relations"):
+            if type(r) is not list or len(r) != 2 or any(type(x) is not str for x in r):
+                raise ValueError(
+                    f"relations: expected a list of [x, y] string pairs, got {reprlib.repr(r)}"
+                )
+            pairs.append(tuple(r))
+        return cls.from_relations(elements, pairs)
 
 
 def parse_poset(text: str) -> Poset:

@@ -1,5 +1,7 @@
 """End-to-end checks of the command-line front end."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,9 +11,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import rimhook
-from rimhook.cli import MAX_CORPUS_N, MAX_ENTRY_N, MAX_MATRIX_N, MAX_VERIFY_N, main
+from rimhook.cli import (
+    MAX_CORPUS_N,
+    MAX_ENTRY_N,
+    MAX_MATRIX_N,
+    MAX_VERIFY_N,
+    _indented_json,
+    build_parser,
+    main,
+)
 from rimhook.involution import RootedTableau, inner_involution, trace_to_json
 from rimhook.partitions import enumerate_partitions, format_partition
 from rimhook.posets import SSCensus
@@ -441,6 +452,34 @@ def test_parse_errors_exit_2(capsys):
     assert run_cli(capsys, "no-such-command")[0] == 2
 
 
+def test_a_parse_failure_leaves_the_next_request_unchanged(capsys):
+    request = ("csf", "--poset", EXAMPLE_POSET, "--format", "json")
+    build_parser.cache_clear()
+    alone = run_cli(capsys, *request)
+    assert run_cli(capsys, "no-such-command")[0] == 2
+    assert run_cli(capsys, "csf", "--format", "json")[0] == 2
+    assert run_cli(capsys, *request) == alone
+    assert alone[0] == 0
+
+
+def test_a_flag_does_not_carry_over_to_the_next_request(capsys):
+    trace = ("trace", "--shape", "[2,1,1,1]", "--type", "[3,2]", "--root", "1,2", "--format", "json")
+    first = run_cli(capsys, *trace, "--index", "0")
+    second = run_cli(capsys, *trace, "--index", "1")
+    assert first[0] == second[0] == 0 and first != second
+    assert run_cli(capsys, *trace) == first
+
+
+def test_help_twice_prints_the_same(capsys):
+    once = run_cli(capsys, "--help")
+    assert once[0] == 0 and "csf" in once[1]
+    assert run_cli(capsys, "--help") == once
+
+
+def test_one_parser_per_process():
+    assert build_parser() is build_parser()
+
+
 def test_missing_file_exits_1(capsys):
     code, _, err = run_cli(capsys, "csf", "--poset", "/no/such/file.poset")
     assert code == 1
@@ -488,3 +527,113 @@ def test_console_script_maps_to_cli_main():
     pyproject = Path(__file__).parents[1] / "pyproject.toml"
     config = tomllib.loads(pyproject.read_text())
     assert config["project"]["scripts"]["rimhook"] == "rimhook.cli:main"
+
+
+# ------------------------------------------------------------ JSON writer
+
+
+def test_json_output_is_the_indent_2_form(capsys, tmp_path):
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(json.dumps(load_fixture("opening_pair.json")["input"]))
+    state_file = tmp_path / "state.json"
+    state_file.write_text(json.dumps(load_fixture("six_step_state.json")["initial"]))
+    for argv in (
+        ["kostka", "--n", "4"],
+        ["inv-kostka", "--n", "4"],
+        ["verify", "--n", "3"],
+        ["involve", "--pair", str(pair_file)],
+        ["trace", "--input", str(state_file)],
+        ["csf", "--poset", EXAMPLE_POSET],
+        ["ss-involution", "--poset", EXAMPLE_POSET],
+        ["corpus", "--max-elements", "3"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and err == "", argv
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**100), max_value=2**100)
+    | st.text()
+)
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(_json_trees)
+@example([1, ["é\u0001"], [], ()])
+def test_writer_is_json_dumps_indent_2(value):
+    # `value` sits at depths 1, 1 and 3, so each list in it is met at two
+    # depths and twice at one depth
+    for x in (value, [value, value, {"again": [value]}]):
+        assert _indented_json(x) == json.dumps(x, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, [0.0], {1: 2}, {"a": {(1,): 2}}, {1, 2}])
+def test_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _indented_json(value)
+
+
+# --------------------------------------------------------- poset file fuzz
+
+
+_names = st.sampled_from("abcdef")  # six names bound the csf cost
+_gaps = st.sampled_from(["", " ", "  ", "\t"])
+
+
+# A chain `x < y < ...` with any spacing, mostly well formed; some lines
+# are a soup of names, `<` and `#` with no structure.
+_chains = st.lists(_names, min_size=1, max_size=4).flatmap(
+    lambda names: st.lists(_gaps, min_size=2 * len(names), max_size=2 * len(names)).map(
+        lambda gaps: "".join(map("".join, zip(gaps, " < ".join(names).split(" ")))) + gaps[-1]
+    )
+)
+_soups = st.lists(_names.map(lambda name: name + " ") | st.sampled_from("<# "), max_size=6).map(
+    "".join
+)
+_poset_lines = st.tuples(
+    st.one_of(_chains, _chains, _soups, st.just("")),
+    st.one_of(st.just(""), _soups.map(lambda text: "#" + text)),
+).map("".join)
+_poset_texts = st.lists(_poset_lines, max_size=8).map("\n".join)
+
+
+def _poset_commands_end_cleanly(path) -> list[int]:
+    """Run the three poset commands on `path`; each must exit 0 with an
+    answer or 1 with `error:`.  Returns the exit codes."""
+    codes = []
+    for command in ("csf", "ss-involution", "ab-free"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--poset", str(path)])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1), (command, path.read_bytes())
+        if code == 1:
+            assert err.startswith("error:") and "Traceback" not in err
+        else:
+            assert err == "" and out
+        codes.append(code)
+    return codes
+
+
+@settings(deadline=1000, max_examples=60)
+@given(text=_poset_texts)
+def test_poset_files_end_in_an_answer_or_an_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "p.poset"
+    path.write_text(text)
+    _poset_commands_end_cleanly(path)
+
+
+def test_a_poset_file_that_is_not_utf8_is_an_error(tmp_path):
+    path = tmp_path / "p.poset"
+    path.write_bytes(b"a < b\n\xff\xfe < c\n")
+    assert _poset_commands_end_cleanly(path) == [1, 1, 1]

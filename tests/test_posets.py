@@ -111,6 +111,24 @@ def test_poset_json_round_trip(npo):
     assert Poset.from_json(npo.to_json()) == npo
 
 
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"elements": [1, "a"], "relations": []}, "elements"),
+        ({"elements": "ab", "relations": []}, "elements"),
+        ({"elements": ["a", "b"], "relations": [["a", 2]]}, "relations"),
+        ({"elements": ["a", "b"], "relations": [["a", "b", "a"]]}, "relations"),
+        ({"elements": ["a", "b"], "relations": [["a"]]}, "relations"),
+        ({"elements": ["a", "b"], "relations": {"a": "b"}}, "relations"),
+        ({"elements": ["a", "b"]}, "relations"),
+        ([], "elements"),
+    ],
+)
+def test_poset_from_json_names_the_bad_key(data, key):
+    with pytest.raises(ValueError, match=key):
+        Poset.from_json(data)
+
+
 # ------------------------------------------------- relations and height
 
 
