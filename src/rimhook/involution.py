@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .partitions import Cell, Partition, cells, num_partitions, shape_of_cells
+from .partitions import Cell, Partition, num_partitions, shape_of_cells
 from .tableaux import (
     RimHook,
     SemistandardTableau,
@@ -40,6 +40,9 @@ from .tableaux import (
     enumerate_ssyt,
     render_hooks,
 )
+
+
+_RULE_OF_TAG = {"CI": "CO", "CE": "CO", "HH": "HE", "HV": "HE", "TV": "TV", "TH": "TH", "SI": "SI"}
 
 
 class HookClass(Enum):
@@ -56,11 +59,7 @@ class HookClass(Enum):
     @property
     def rule(self) -> str:
         """Label of the rewrite rule this class triggers."""
-        return {
-            "CI": "CO", "CE": "CO",
-            "HH": "HE", "HV": "HE",
-            "TV": "TV", "TH": "TH", "SI": "SI",
-        }[self.value]
+        return _RULE_OF_TAG[self.value]
 
 
 # classes whose states keep the starting sign along a trace; the
@@ -117,6 +116,11 @@ class RootedTableau:
     def root_hooks(self) -> tuple[int, ...]:
         return tuple(k for k, h in enumerate(self.hooks) if self.root in h)
 
+    @cached_property
+    def _hook_class(self) -> HookClass:
+        # the walk reads each state's class twice (trace, rewrite); classify once
+        return classify(self)
+
     @property
     def overlapping(self) -> bool:
         return len(self.root_hooks) == 2
@@ -133,9 +137,14 @@ class RootedTableau:
             s *= h.sign
         return s
 
-    def region(self) -> frozenset[Cell]:
-        """Diagram minus the root: the invariant cell set of a trace."""
-        return frozenset(cells(self.shape)) - {self.root}
+    def region(self) -> Partition:
+        """The partition left when the root, a corner of the diagram, is
+        removed: the invariant of a trace.  Raises ValueError when the root
+        does not close its row and column."""
+        if not _at_diagram_corner(self.shape, self.root):
+            raise ValueError(f"root {self.root} is not a corner of {self.shape}")
+        i, j = self.root
+        return self.shape[: i - 1] + ((j - 1,) if j > 1 else ()) + self.shape[i:]
 
     def to_json(self) -> dict:
         return {
@@ -236,7 +245,7 @@ def _attaches_right(state: RootedTableau, cell: Cell) -> bool:
 
 def apply_rule(state: RootedTableau) -> RootedTableau:
     """One rewrite step; the applied rule is determined by classify."""
-    cls = classify(state)
+    cls = state._hook_class
     hooks = list(state.hooks)
     a = state.active
     hook = hooks[a]
@@ -307,43 +316,42 @@ def _at_diagram_corner(shape: Partition, cell: Cell) -> bool:
     return i == len(shape) or shape[i] < j
 
 
-def inner_involution(
-    state: RootedTableau, budget: int | None = None
-) -> tuple[RootedTableau, Trace]:
+def inner_involution(state: RootedTableau) -> tuple[RootedTableau, Trace]:
     """Iterate apply_rule from a tileable rooted state back to one.
 
     Returns the terminal state and the full trace of (state, class) pairs.
-    The terminal state has the same cell set away from the root, the same
-    type, and the opposite sign; a step budget turns any non-terminating
-    bug into a hard error instead of a hang.
+    Five checks turn an engine bug into an error: a walk longer than
+    4·n·p(n) steps raises instead of hanging, and every state must keep the
+    start's type (hook-size multiset); the terminal state must pass the
+    validating constructor, leave the start's region and flip its sign.
     """
     if state.overlapping:
         raise ValueError("walk must start from a non-overlapping state")
     if len(state.hooks[state.active]) < 2:
         raise ValueError("root hook must have at least two cells")
     n = sum(state.shape)
-    if budget is None:
-        budget = 4 * n * num_partitions(n)
-    trace: list[tuple[RootedTableau, HookClass]] = [(state, classify(state))]
+    budget = 4 * n * num_partitions(n)
+    typ = state.type
+    trace: list[tuple[RootedTableau, HookClass]] = [(state, state._hook_class)]
     cur = state
     steps = 0
     while True:
         cur = apply_rule(cur)
         steps += 1
-        trace.append((cur, classify(cur)))
+        if cur.type != typ:
+            raise RuntimeError("hook-size multiset changed along the walk")
+        trace.append((cur, cur._hook_class))
         if not cur.overlapping:
             break
         if steps > budget:
             raise RuntimeError(f"rewrite walk exceeded the {budget}-step budget")
-    if cur.region() != state.region():
-        raise RuntimeError("cell set away from the root changed along the walk")
-    if any(st.type != state.type for st, _ in trace):
-        raise RuntimeError("hook-size multiset changed along the walk")
-    if cur.sign != -state.sign:
-        raise RuntimeError("terminal state failed to flip the sign")
     # the walk hands back only states that pass the public constructor
     cur = RootedTableau(cur.shape, cur.hooks, cur.root, cur.active)
     trace[-1] = (cur, trace[-1][1])
+    if cur.region() != state.region():
+        raise RuntimeError("cell set away from the root changed along the walk")
+    if cur.sign != -state.sign:
+        raise RuntimeError("terminal state failed to flip the sign")
     return cur, tuple(trace)
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import reprlib
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -174,15 +173,15 @@ def parse_poset(text: str) -> Poset:
             continue
         if "<" in line:
             parts = [p.strip() for p in line.split("<")]
-            if len(parts) < 2 or any(not p or " " in p for p in parts):
+            if len(parts) < 2 or any(p.split() != [p] for p in parts):
                 raise ValueError(f"line {lineno}: expected `x < y`, got {raw!r}")
             for name in parts:
                 note(name)
             for x, y in zip(parts, parts[1:]):
                 relations.append((x, y))
         else:
-            if " " in line:
-                raise ValueError(f"line {lineno}: element names cannot contain spaces")
+            if line.split() != [line]:
+                raise ValueError(f"line {lineno}: element names cannot contain whitespace")
             note(line)
     return Poset.from_relations(tuple(elements), relations)
 
@@ -777,29 +776,6 @@ def csf(poset: Poset) -> CsfResult:
         SymFuncExpansion("e", e_coeffs, n),
         census,
     )
-
-
-def csf_monomial_from_colorings(poset: Poset) -> SymFuncExpansion:
-    """Monomial expansion assembled directly from proper colorings with at
-    most |P| colors — the slow independent route, for cross-checks only."""
-    n = len(poset.elements)
-    graph = incomparability_graph(poset)
-    adj = graph.adjacency
-    elems = list(poset.elements)
-    counts: Counter[Partition] = Counter()
-    for coloring in itertools.product(range(1, n + 1), repeat=n):
-        by = dict(zip(elems, coloring))
-        if any(by[u] == by[v] for u, v in graph.edges):
-            continue
-        used = sorted(set(coloring))
-        # one representative monomial per coefficient: colors exactly 1..m,
-        # used with weakly decreasing multiplicities
-        if used != list(range(1, len(used) + 1)):
-            continue
-        key = tuple(coloring.count(c) for c in used)
-        if all(key[i] >= key[i + 1] for i in range(len(key) - 1)):
-            counts[check_partition(key)] += 1
-    return SymFuncExpansion("m", dict(counts), n)
 
 
 # --- exhaustive small-poset generation ---------------------------------------

@@ -259,10 +259,6 @@ def enumerate_ssyt(shape, content) -> list[SemistandardTableau]:
     return out
 
 
-def kostka_number(shape, content) -> int:
-    return len(enumerate_ssyt(shape, content))
-
-
 @dataclass(frozen=True)
 class SpecialRimHookTableau:
     """A Ferrers diagram tiled by rim hooks that each touch column 1.
@@ -409,10 +405,6 @@ def render_hooks(hooks, root: Cell | None = None, active: int | None = None) -> 
         i, j = root
         grid[2 * i - 2][2 * j - 2] = "#"
     return "\n".join("".join(row).rstrip() for row in grid)
-
-
-def render_tableau(tableau: SpecialRimHookTableau) -> str:
-    return render_hooks(tableau.hooks)
 
 
 def render_filling(t: SemistandardTableau) -> str:

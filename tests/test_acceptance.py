@@ -114,7 +114,7 @@ def test_criterion_4_involution_mechanics():
                     if len(s.hooks[owner]) < 2:
                         continue
                     state = RootedTableau(lam, s.hooks, root, owner)
-                    final, trace = inner_involution(state, budget=budget)
+                    final, trace = inner_involution(state)
                     assert len(trace) <= budget
                     assert final.region() == state.region()
                     assert all(st.type == state.type for st, _ in trace)

@@ -19,6 +19,7 @@ from rimhook.cli import (
     MAX_ENTRY_N,
     MAX_MATRIX_N,
     MAX_VERIFY_N,
+    _MAX_CONTENT_N,
     _indented_json,
     build_parser,
     main,
@@ -100,6 +101,15 @@ def test_inv_kostka_entry_beyond_the_bound_is_refused(capsys):
         assert code == 1 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
         assert f"the weight of --shape must be at most {MAX_ENTRY_N}" in err
+
+
+def test_kostka_entry_beyond_the_bound_is_refused(capsys):
+    # content 1^n is the slowest of its weight; refused before any work
+    for n in (_MAX_CONTENT_N + 1, 5000):
+        code, out, err = run_cli(capsys, "kostka", "--shape", f"1^{n}", "--content", f"1^{n}")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"the weight of --shape must be at most {_MAX_CONTENT_N}" in err
 
 
 def test_matrix_commands_need_n_or_entry_flags(capsys):

@@ -6,9 +6,11 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from rimhook import involution
 from rimhook.involution import (
     HookClass,
     RootedTableau,
+    _unchecked,
     apply_rule,
     check_sign_lemma,
     enumerate_standard_pairs,
@@ -16,7 +18,7 @@ from rimhook.involution import (
     outer_involution,
     trace_to_json,
 )
-from rimhook.partitions import enumerate_partitions, num_partitions
+from rimhook.partitions import cells, enumerate_partitions, num_partitions
 from rimhook.tableaux import (
     RimHook,
     SemistandardTableau,
@@ -240,11 +242,89 @@ def test_walk_requires_plain_start_and_big_hook():
         inner_involution(singleton)
 
 
-def test_budget_converts_nontermination_to_error():
+def test_budget_converts_nontermination_to_error(monkeypatch):
     fx = load_fixture("six_step_state.json")
     start = RootedTableau.from_json(fx["initial"])
-    with pytest.raises(RuntimeError):
-        inner_involution(start, budget=2)
+    final, _ = inner_involution(start)
+    n = sum(start.shape)
+    # one overlapping state past the 4·n·p(n) budget, then a valid partner
+    first = apply_rule(start)
+    steps = iter([first] * (4 * n * num_partitions(n) + 1) + [final])
+    monkeypatch.setattr(involution, "apply_rule", lambda state: next(steps))
+    with pytest.raises(RuntimeError, match="budget"):
+        inner_involution(start)
+
+
+# A faulty rewrite step, one per exit check, must end the walk in that
+# check's error.  Each fault passes every check that runs before its own.
+
+
+def _three_cell_row():
+    return RootedTableau((3,), (RimHook(((1, 1), (1, 2), (1, 3))),), (1, 3), 0)
+
+
+def test_type_check_catches_a_changed_hook_multiset(monkeypatch):
+    start = RootedTableau.from_json(load_fixture("six_step_state.json")["initial"])
+    first = apply_rule(start)
+    extra = _unchecked(first.shape, first.hooks + (RimHook(((9, 1),)),), first.root, first.active)
+    monkeypatch.setattr(involution, "apply_rule", lambda state: extra)
+    with pytest.raises(RuntimeError, match="hook-size multiset changed"):
+        inner_involution(start)
+
+
+def test_terminal_revalidation_catches_an_invalid_state(monkeypatch):
+    # the real partner with one hook that is not the root's shifted off
+    # column 1: same shape field, type, region and sign, but not a tiling
+    start = RootedTableau.from_json(load_fixture("six_step_state.json")["initial"])
+    final, _ = inner_involution(start)
+    k = next(k for k in range(len(final.hooks)) if k not in final.root_hooks)
+    hooks = list(final.hooks)
+    hooks[k] = RimHook(tuple((i, j + 1) for i, j in hooks[k].walk))
+    broken = _unchecked(final.shape, tuple(hooks), final.root, final.active)
+    monkeypatch.setattr(involution, "apply_rule", lambda state: broken)
+    with pytest.raises(ValueError, match="does not touch column 1"):
+        inner_involution(start)
+
+
+def test_region_check_catches_a_moved_region(monkeypatch):
+    # a valid state of the same type and opposite sign rooted elsewhere:
+    # [2,1] minus (1,2) is [1,1], where [3] minus (1,3) is [2]
+    other = RootedTableau((2, 1), (RimHook(((2, 1), (1, 1), (1, 2))),), (1, 2), 0)
+    monkeypatch.setattr(involution, "apply_rule", lambda state: other)
+    with pytest.raises(RuntimeError, match="cell set away from the root changed"):
+        inner_involution(_three_cell_row())
+
+
+def test_sign_check_catches_an_unflipped_sign(monkeypatch):
+    monkeypatch.setattr(involution, "apply_rule", lambda state: state)
+    with pytest.raises(RuntimeError, match="failed to flip the sign"):
+        inner_involution(_three_cell_row())
+
+
+def test_each_state_is_classified_once(monkeypatch):
+    calls = 0
+    real = involution.classify
+
+    def counting(state):
+        nonlocal calls
+        calls += 1
+        return real(state)
+
+    monkeypatch.setattr(involution, "classify", counting)
+    states = 0
+    for n in range(2, 8):
+        for start in rooted_states(n):
+            _, trace = inner_involution(start)
+            states += len(trace)
+    assert calls == states
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_region_is_the_diagram_minus_the_root(n):
+    for start in rooted_states(n):
+        final, _ = inner_involution(start)
+        for state in (start, final):
+            assert cells(state.region()) == cells(state.shape) - {state.root}
 
 
 # any decoded JSON value; integers are unbounded, so huge coordinates occur
@@ -286,14 +366,15 @@ def test_walk_is_a_sign_reversing_involution(n):
     budget = 4 * n * num_partitions(n)
     seen = 0
     for state in rooted_states(n):
-        final, trace = inner_involution(state, budget=budget)
+        final, trace = inner_involution(state)
         seen += 1
+        assert len(trace) <= budget
         assert final != state
         assert final.sign == -state.sign
         assert final.region() == state.region()
         assert all(st.type == state.type for st, _ in trace)
         assert check_sign_lemma(trace, state.sign)
-        back, back_trace = inner_involution(final, budget=budget)
+        back, back_trace = inner_involution(final)
         assert back == state
         assert len(back_trace) == len(trace)
     assert seen > 0

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rimhook import posets
-from rimhook.partitions import enumerate_partitions
+from rimhook.partitions import check_partition, enumerate_partitions
 from rimhook.posets import (
     Graph,
     Poset,
@@ -19,7 +19,6 @@ from rimhook.posets import (
     chromatic_polynomial_value,
     count_p_tableaux,
     csf,
-    csf_monomial_from_colorings,
     enumerate_p_tableaux,
     enumerate_posets,
     evaluate_polynomial,
@@ -30,7 +29,7 @@ from rimhook.posets import (
     parse_poset,
     stanley_stembridge_involution,
 )
-from rimhook.symfunc import evaluate_at_ones
+from rimhook.symfunc import SymFuncExpansion, evaluate_at_ones
 from rimhook.tableaux import enumerate_ssyt
 
 from conftest import FIXTURES
@@ -47,6 +46,28 @@ def brute_coloring_count(graph: Graph, k: int) -> int:
         if all(by[u] != by[v] for u, v in graph.edges):
             total += 1
     return total
+
+
+def monomial_from_colorings(poset: Poset) -> SymFuncExpansion:
+    """Monomial expansion assembled directly from proper colorings with at
+    most |P| colors: an n^n route independent of the library's."""
+    n = len(poset.elements)
+    graph = incomparability_graph(poset)
+    elems = list(poset.elements)
+    counts: Counter = Counter()
+    for coloring in itertools.product(range(1, n + 1), repeat=n):
+        by = dict(zip(elems, coloring))
+        if any(by[u] == by[v] for u, v in graph.edges):
+            continue
+        used = sorted(set(coloring))
+        # one representative monomial per coefficient: colors exactly 1..m,
+        # used with weakly decreasing multiplicities
+        if used != list(range(1, len(used) + 1)):
+            continue
+        key = tuple(coloring.count(c) for c in used)
+        if all(key[i] >= key[i + 1] for i in range(len(key) - 1)):
+            counts[check_partition(key)] += 1
+    return SymFuncExpansion("m", dict(counts), n)
 
 
 def chain(n):
@@ -90,7 +111,9 @@ def test_parse_bare_elements_and_comments():
     assert p.incomparable("x", "y")
 
 
-@pytest.mark.parametrize("text", ["a <", "a b", "a < b c", "a < b\nb < a"])
+@pytest.mark.parametrize(
+    "text", ["a <", "a b", "a < b c", "a < b\nb < a", "a\tb", "c\td < e"]
+)
 def test_parse_rejects_garbage(text):
     with pytest.raises(ValueError):
         parse_poset(text)
@@ -606,14 +629,14 @@ def test_expansion_requires_induced_freeness():
 
 
 def test_monomial_route_on_a_chain():
-    m = csf_monomial_from_colorings(chain(3))
+    m = monomial_from_colorings(chain(3))
     assert m.coeffs == {(3,): 1, (2, 1): 3, (1, 1, 1): 6}
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_monomial_route_matches_colorings(n):
     for p in enumerate_posets(n):
-        m = csf_monomial_from_colorings(p)
+        m = monomial_from_colorings(p)
         g = incomparability_graph(p)
         for k in range(5):
             assert evaluate_at_ones(m, k) == brute_coloring_count(g, k)

@@ -19,9 +19,7 @@ from rimhook import (
     enumerate_partitions,
     enumerate_srht,
     enumerate_ssyt,
-    kostka_number,
     render_hooks,
-    render_tableau,
 )
 from rimhook.tableaux import enumerate_srht_all_types
 
@@ -200,10 +198,10 @@ def test_composition_content_is_allowed():
 
 
 def test_kostka_number_values():
-    assert kostka_number((2, 1), (1, 1, 1)) == 2
-    assert kostka_number((3, 1), (2, 1, 1)) == 2
-    assert kostka_number((2, 2), (1, 1, 1, 1)) == 2
-    assert kostka_number((1, 1), (2,)) == 0
+    assert len(enumerate_ssyt((2, 1), (1, 1, 1))) == 2
+    assert len(enumerate_ssyt((3, 1), (2, 1, 1))) == 2
+    assert len(enumerate_ssyt((2, 2), (1, 1, 1, 1))) == 2
+    assert len(enumerate_ssyt((1, 1), (2,))) == 0
 
 
 # ---------------------------------------------------------------- tilings
@@ -282,7 +280,7 @@ def test_from_hooks_reorders():
 
 def test_render_smoke():
     t = enumerate_srht((2, 2), (3, 1))[0]
-    art = render_tableau(t)
+    art = render_hooks(t.hooks)
     assert "*" in art and "|" in art
     rooted = render_hooks(t.hooks, root=(2, 1), active=0)
     assert "#" in rooted
