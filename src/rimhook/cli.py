@@ -160,7 +160,7 @@ def _cmd_inv_kostka(args) -> int:
         if sum(shape) != sum(typ):
             raise ValueError("shape and type have different weights")
         _admit_n(sum(shape), MAX_ENTRY_N, "the weight of --shape")
-        print(dict(_srht_type_counts(shape)).get(typ, 0))
+        print(dict(_srht_type_counts(shape, {})).get(typ, 0))
         return 0
     if args.n is None:
         raise ValueError("need --n, or --shape with --type")

@@ -23,43 +23,23 @@ state that passes the constructor again.
 
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 from .partitions import Cell, Partition, num_partitions, shape_of_cells
 from .tableaux import (
+    HookClass,
     RimHook,
     SemistandardTableau,
     SpecialRimHookTableau,
     _json_fields,
     _json_hooks,
+    _json_int,
     _json_ints,
     enumerate_srht,
     enumerate_ssyt,
     render_hooks,
 )
-
-
-_RULE_OF_TAG = {"CI": "CO", "CE": "CO", "HH": "HE", "HV": "HE", "TV": "TV", "TH": "TH", "SI": "SI"}
-
-
-class HookClass(Enum):
-    """How the root sits in the active hook; decides the rewrite rule."""
-
-    INNER_CORNER = "CI"      # corner with both lower and right neighbors in hook
-    OUTER_CORNER = "CE"      # corner with both upper and left neighbors in hook
-    HEAD_HORIZONTAL = "HH"   # root is the head, reached by a rightward step
-    HEAD_VERTICAL = "HV"     # root is the head, reached by an upward step
-    TAIL_VERTICAL = "TV"     # root is the tail, walk leaves upward
-    TAIL_HORIZONTAL = "TH"   # root is the tail, walk leaves rightward
-    SINGLETON = "SI"         # the active hook is a single cell
-
-    @property
-    def rule(self) -> str:
-        """Label of the rewrite rule this class triggers."""
-        return _RULE_OF_TAG[self.value]
 
 
 # classes whose states keep the starting sign along a trace; the
@@ -83,8 +63,6 @@ class RootedTableau:
     active: int
 
     def __post_init__(self):
-        if not 0 <= self.active < len(self.hooks):
-            raise ValueError("active index out of range")
         coverage: dict[Cell, int] = {}
         for h in self.hooks:
             if not h.is_special:
@@ -99,18 +77,11 @@ class RootedTableau:
         owners = self.root_hooks
         if self.active not in owners:
             raise ValueError("active hook does not contain the root")
-        if len(owners) == 2:
-            a, b = (self.hooks[k] for k in owners)
-            if a.cell_set & b.cell_set != {self.root}:
-                raise ValueError("overlapping hooks must meet exactly at the root")
-            for h in (a, b):
-                if self.root not in h.permissible_cells():
-                    raise ValueError("root not permissible in an overlapping hook")
-        else:
-            if self.root not in self.hooks[self.active].permissible_cells():
-                raise ValueError("root not permissible in the active hook")
-            if not _at_diagram_corner(self.shape, self.root):
-                raise ValueError("root must close both its row and its column")
+        if any(self.hooks[k].role(self.root) is None for k in owners):
+            kind = "an overlapping" if len(owners) == 2 else "the active"
+            raise ValueError(f"root not permissible in {kind} hook")
+        if len(owners) == 1 and not _at_diagram_corner(self.shape, self.root):
+            raise ValueError("root must close both its row and its column")
 
     @cached_property
     def root_hooks(self) -> tuple[int, ...]:
@@ -157,13 +128,11 @@ class RootedTableau:
     @classmethod
     def from_json(cls, data) -> "RootedTableau":
         shape, hooks, root, active = _json_fields(data, "shape", "hooks", "root", "active")
-        if type(active) is not int:
-            raise ValueError(f"active: expected an integer, got {reprlib.repr(active)}")
         return cls(
             _json_ints(shape, "shape"),
             _json_hooks(hooks),
             _json_ints(root, "root", 2),
-            active,
+            _json_int(active, "active"),
         )
 
     def render(self) -> str:
@@ -175,27 +144,10 @@ Trace = tuple[tuple[RootedTableau, HookClass], ...]
 
 def classify(state: RootedTableau) -> HookClass:
     """The unique class of (active hook, root); errors on corrupt states."""
-    hook = state.hooks[state.active]
-    r = state.root
-    if len(hook) == 1:
-        return HookClass.SINGLETON
-    if r == hook.head:
-        prev = hook.walk[-2]
-        if prev == (r[0], r[1] - 1):
-            return HookClass.HEAD_HORIZONTAL
-        return HookClass.HEAD_VERTICAL
-    if r == hook.tail:
-        nxt = hook.walk[1]
-        if nxt == (r[0] - 1, r[1]):
-            return HookClass.TAIL_VERTICAL
-        return HookClass.TAIL_HORIZONTAL
-    i, j = r
-    s = hook.cell_set
-    if (i + 1, j) in s and (i, j + 1) in s:
-        return HookClass.INNER_CORNER
-    if (i - 1, j) in s and (i, j - 1) in s:
-        return HookClass.OUTER_CORNER
-    raise ValueError(f"root {r} is not a permissible cell of the active hook")
+    cls = state.hooks[state.active].role(state.root)
+    if cls is None:
+        raise ValueError(f"root {state.root} is not a permissible cell of the active hook")
+    return cls
 
 
 def _unchecked(
@@ -238,7 +190,7 @@ def _attaches_right(state: RootedTableau, cell: Cell) -> bool:
     """
     for k, h in enumerate(state.hooks):
         if k != state.active and cell in h:
-            return cell in h.permissible_cells()
+            return h.role(cell) is not None
     i, j = cell
     return i == 1 or state.shape[i - 2] >= j
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import csv as _csv
 import operator
+import reprlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
@@ -26,6 +27,7 @@ from .partitions import (
     format_partition,
     parse_partition,
 )
+from .tableaux import _json_fields, _json_int, _json_ints, _json_list
 
 
 @dataclass(frozen=True)
@@ -84,11 +86,22 @@ class PartitionMatrix:
 
     @classmethod
     def from_json(cls, data) -> "PartitionMatrix":
+        n, order, rows = _json_fields(data, "n", "order", "rows")
         return cls(
-            int(data["n"]),
-            tuple(parse_partition(s) for s in data["order"]),
-            tuple(tuple(int(v) for v in r) for r in data["rows"]),
+            _json_int(n, "n"),
+            tuple(_json_partition(s, "order") for s in _json_list(order, "order")),
+            tuple(_json_ints(r, "rows") for r in _json_list(rows, "rows")),
         )
+
+
+def _json_partition(value, key: str) -> Partition:
+    """A partition from a JSON string such as "[3,1]"; else a ValueError naming `key`."""
+    if type(value) is not str:
+        raise ValueError(f"{key}: expected a partition string, got {reprlib.repr(value)}")
+    try:
+        return parse_partition(value)
+    except ValueError as e:
+        raise ValueError(f"{key}: {e}") from None
 
 
 def _horizontal_strips(lam: Partition, size: int):
@@ -138,8 +151,7 @@ def kostka_matrix(n: int) -> PartitionMatrix:
     return PartitionMatrix(n, order, rows)
 
 
-@lru_cache(maxsize=None)
-def _srht_type_counts(shape: Partition) -> tuple[tuple[Partition, int], ...]:
+def _srht_type_counts(shape: Partition, memo: dict) -> tuple[tuple[Partition, int], ...]:
     """Signed count of the special rim-hook tableaux of `shape`, per type,
     as (type, count) pairs with nonzero counts.
 
@@ -150,21 +162,23 @@ def _srht_type_counts(shape: Partition) -> tuple[tuple[Partition, int], ...]:
     (column 1 in the bottom row) to the row's end, and stops at the end of
     some row `top`.  That leaves nu with nu[i] = shape[i+1] - 1 for
     i >= top and the rows above untouched; the hook's sign is
-    (-1)^(rows spanned - 1).
+    (-1)^(rows spanned - 1).  The caller owns `memo`, so no count outlives it.
     """
     if not shape:
         return (((), 1),)
-    ell = len(shape)
-    counts: dict[Partition, int] = {}
-    size = 0
-    for top in range(ell - 1, -1, -1):
-        size += shape[top] - (shape[top + 1] - 1 if top + 1 < ell else 0)
-        sign = -1 if (ell - 1 - top) % 2 else 1
-        nu = shape[:top] + tuple(x - 1 for x in shape[top + 1:] if x > 1)
-        for typ, c in _srht_type_counts(nu):
-            key = tuple(sorted(typ + (size,), reverse=True))
-            counts[key] = counts.get(key, 0) + sign * c
-    return tuple((typ, c) for typ, c in counts.items() if c)
+    if shape not in memo:
+        ell = len(shape)
+        counts: dict[Partition, int] = {}
+        size = 0
+        for top in range(ell - 1, -1, -1):
+            size += shape[top] - (shape[top + 1] - 1 if top + 1 < ell else 0)
+            sign = -1 if (ell - 1 - top) % 2 else 1
+            nu = shape[:top] + tuple(x - 1 for x in shape[top + 1:] if x > 1)
+            for typ, c in _srht_type_counts(nu, memo):
+                key = tuple(sorted(typ + (size,), reverse=True))
+                counts[key] = counts.get(key, 0) + sign * c
+        memo[shape] = tuple((typ, c) for typ, c in counts.items() if c)
+    return memo[shape]
 
 
 @lru_cache(maxsize=None)
@@ -173,8 +187,9 @@ def inverse_kostka_matrix(n: int) -> PartitionMatrix:
     order = enumerate_partitions(n)
     idx = {p: i for i, p in enumerate(order)}
     grid = [[0] * len(order) for _ in order]
+    memo: dict = {}
     for j, lam in enumerate(order):
-        for typ, c in _srht_type_counts(lam):
+        for typ, c in _srht_type_counts(lam, memo):
             grid[idx[typ]][j] = c
     return PartitionMatrix(n, order, tuple(tuple(r) for r in grid))
 
@@ -279,12 +294,9 @@ class SymFuncExpansion:
         return self.coeffs.get(check_partition(part), 0)
 
     def terms(self) -> list[tuple[Partition, int]]:
-        """Coefficients in canonical partition order."""
-        return [
-            (p, self.coeffs[p])
-            for p in enumerate_partitions(self.weight)
-            if p in self.coeffs
-        ]
+        """Coefficients in canonical partition order: among partitions of
+        one weight, reverse-lexicographic is descending tuple order."""
+        return sorted(self.coeffs.items(), reverse=True)
 
     def is_positive(self) -> bool:
         return all(c >= 0 for c in self.coeffs.values())
@@ -309,10 +321,13 @@ class SymFuncExpansion:
 
     @classmethod
     def from_json(cls, data) -> "SymFuncExpansion":
+        basis, coeffs, weight = _json_fields(data, "basis", "coeffs", "weight")
+        if type(coeffs) is not dict:
+            raise ValueError(f"coeffs: expected an object, got {reprlib.repr(coeffs)}")
         return cls(
-            data["basis"],
-            {parse_partition(k): int(v) for k, v in data["coeffs"].items()},
-            int(data["weight"]),
+            basis,
+            {_json_partition(k, "coeffs"): _json_int(v, "coeffs") for k, v in coeffs.items()},
+            _json_int(weight, "weight"),
         )
 
 

@@ -1,15 +1,17 @@
 """Semistandard Young tableaux, rim hooks, and special rim-hook tableaux.
 
 A rim hook is stored as the ordered walk of its cells from tail to head,
-each step going up one row or right one column.  A special rim-hook
-tableau tiles a Ferrers diagram with such hooks, every hook touching
-column 1; its sign is the product of per-hook signs (-1)^(vertical steps).
+each step going up one row or right one column; `RimHook.role` names each
+cell's place as a root.  A special rim-hook tableau tiles a Ferrers diagram
+with such hooks, every hook touching column 1; its sign is the product of
+per-hook signs (-1)^(vertical steps).
 """
 
 from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
+from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Iterator
 
@@ -43,6 +45,13 @@ def _json_list(value, key: str) -> list:
     return value
 
 
+def _json_int(value, key: str) -> int:
+    """`value` if it is a JSON integer, not a bool; else a ValueError naming `key`."""
+    if type(value) is not int:
+        raise ValueError(f"{key}: expected an integer, got {reprlib.repr(value)}")
+    return value
+
+
 def _json_ints(value, key: str, length: int | None = None) -> tuple[int, ...]:
     """A JSON list of integers, of the given length if one is given."""
     items = _json_list(value, key)
@@ -60,6 +69,39 @@ def _json_hooks(value, key: str = "hooks") -> tuple[RimHook, ...]:
     )
 
 
+_RULE_OF_TAG = {"CI": "CO", "CE": "CO", "HH": "HE", "HV": "HE", "TV": "TV", "TH": "TH", "SI": "SI"}
+
+
+class HookClass(Enum):
+    """How the root sits in the active hook; decides the rewrite rule."""
+
+    INNER_CORNER = "CI"      # corner with both lower and right neighbors in hook
+    OUTER_CORNER = "CE"      # corner with both upper and left neighbors in hook
+    HEAD_HORIZONTAL = "HH"   # root is the head, reached by a rightward step
+    HEAD_VERTICAL = "HV"     # root is the head, reached by an upward step
+    TAIL_VERTICAL = "TV"     # root is the tail, walk leaves upward
+    TAIL_HORIZONTAL = "TH"   # root is the tail, walk leaves rightward
+    SINGLETON = "SI"         # the active hook is a single cell
+
+    @property
+    def rule(self) -> str:
+        """Label of the rewrite rule this class triggers."""
+        return _RULE_OF_TAG[self.value]
+
+
+# a root's class from the steps into and out of it: True up, False right,
+# None past an end of the walk; a straight pass through a cell is absent
+_ROLE_OF_STEPS = {
+    (None, None): HookClass.SINGLETON,
+    (False, None): HookClass.HEAD_HORIZONTAL,
+    (True, None): HookClass.HEAD_VERTICAL,
+    (None, True): HookClass.TAIL_VERTICAL,
+    (None, False): HookClass.TAIL_HORIZONTAL,
+    (True, False): HookClass.INNER_CORNER,
+    (False, True): HookClass.OUTER_CORNER,
+}
+
+
 @dataclass(frozen=True)
 class RimHook:
     """A connected strip of cells with no 2x2 block, walked tail to head.
@@ -74,12 +116,12 @@ class RimHook:
     def __post_init__(self):
         if not self.walk:
             raise ValueError("a rim hook has at least one cell")
-        for (i, j) in self.walk:
-            if i < 1 or j < 1:
-                raise ValueError(f"cell off the diagram: {(i, j)}")
         for (i, j), (i2, j2) in zip(self.walk, self.walk[1:]):
             if (i2, j2) not in ((i - 1, j), (i, j + 1)):
                 raise ValueError(f"bad hook step {(i, j)} -> {(i2, j2)}")
+        # steps go up or right, so the head has the least row, the tail the least column
+        if self.head[0] < 1 or self.tail[1] < 1:
+            raise ValueError(f"cell off the diagram: tail {self.tail}, head {self.head}")
 
     @classmethod
     def from_cells(cls, cs) -> "RimHook":
@@ -95,10 +137,7 @@ class RimHook:
 
     @cached_property
     def cell_set(self) -> frozenset[Cell]:
-        cs = frozenset(self.walk)
-        if len(cs) != len(self.walk):
-            raise ValueError("hook walk revisits a cell")
-        return cs
+        return frozenset(self.walk)
 
     @property
     def tail(self) -> Cell:
@@ -131,27 +170,22 @@ class RimHook:
             run.append(c)
         return tuple(run)
 
-    def internal_corners(self) -> frozenset[Cell]:
-        """Cells (i,j) with both (i+1,j) and (i,j+1) in the hook."""
-        s = self.cell_set
-        return frozenset(
-            (i, j) for (i, j) in s if (i + 1, j) in s and (i, j + 1) in s
-        )
-
-    def external_corners(self) -> frozenset[Cell]:
-        """Cells (i,j) with both (i-1,j) and (i,j-1) in the hook."""
-        s = self.cell_set
-        return frozenset(
-            (i, j) for (i, j) in s if (i - 1, j) in s and (i, j - 1) in s
-        )
+    def role(self, cell: Cell) -> HookClass | None:
+        """The class of `cell` as a root of this hook, or None off the
+        permissible cells (head, tail, corners).  Each step adds one to
+        j - i, so only walk[k], k = (j - i) - (tail's j - i), can be `cell`."""
+        walk = self.walk
+        i, j = cell
+        k = (j - i) - (walk[0][1] - walk[0][0])
+        if not 0 <= k < len(walk) or walk[k] != cell:
+            return None
+        up_in = walk[k - 1][0] != i if k > 0 else None
+        up_out = walk[k + 1][0] != i if k + 1 < len(walk) else None
+        return _ROLE_OF_STEPS.get((up_in, up_out))
 
     def permissible_cells(self) -> frozenset[Cell]:
         """Head, tail, and both kinds of corner: the legal root positions."""
-        return (
-            frozenset((self.tail, self.head))
-            | self.internal_corners()
-            | self.external_corners()
-        )
+        return frozenset(c for c in self.walk if self.role(c) is not None)
 
     def to_json(self) -> list[list[int]]:
         return [[i, j] for (i, j) in self.walk]
@@ -341,8 +375,6 @@ def _all_srht(shape: Partition) -> tuple[SpecialRimHookTableau, ...]:
     hooks in canonical order.
     """
     out: list[SpecialRimHookTableau] = []
-    if shape == ():
-        return (SpecialRimHookTableau((), ()),)
 
     def peel(region: frozenset[Cell], acc: list[RimHook]):
         if not region:

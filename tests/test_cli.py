@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -92,6 +94,25 @@ def test_inv_kostka_entry_rejects_mismatched_weights(capsys):
     code, out, err = run_cli(capsys, "inv-kostka", "--shape", "[3,1]", "--type", "[2,1]")
     assert code == 1 and out == ""
     assert err.strip() == "error: shape and type have different weights"
+
+
+def test_inv_kostka_entry_keeps_nothing_after_the_request(capsys):
+    # the per-shape counts of one request (about 5 MiB for this one) live
+    # only as long as the request.  A full collection also empties the
+    # interpreter's free lists, so what is left traced is what the request
+    # kept alive.
+    run_cli(capsys, "inv-kostka", "--shape", "[2]", "--type", "[2]")
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        code, out, _ = run_cli(capsys, "inv-kostka", "--shape", "1^30", "--type", "[30]")
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and int(out) == -1
+    assert kept < 256 * 1024
 
 
 def test_inv_kostka_entry_beyond_the_bound_is_refused(capsys):

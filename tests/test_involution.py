@@ -19,6 +19,7 @@ from rimhook.involution import (
     trace_to_json,
 )
 from rimhook.partitions import cells, enumerate_partitions, num_partitions
+from rimhook.symfunc import PartitionMatrix, SymFuncExpansion
 from rimhook.tableaux import (
     RimHook,
     SemistandardTableau,
@@ -356,6 +357,63 @@ def test_state_from_any_json_value_is_a_state_or_a_value_error(data):
     except ValueError:
         return
     assert RootedTableau.from_json(state.to_json()) == state
+
+
+# partition strings, well formed or not, and any other text
+_partition_text = (
+    st.lists(st.integers(-1, 4) | st.integers(), max_size=3).map(
+        lambda parts: "[" + ",".join(map(str, parts)) + "]"
+    )
+    | st.text()
+)
+_matrix_like = st.fixed_dictionaries(
+    {
+        "n": st.integers(-1, 4) | _json_values,
+        "order": st.lists(_partition_text, max_size=3) | _json_values,
+        "rows": st.lists(st.lists(st.integers(), max_size=3), max_size=3) | _json_values,
+    }
+)
+_expansion_like = st.fixed_dictionaries(
+    {
+        "basis": st.sampled_from(["e", "s", "m"]) | _json_values,
+        "coeffs": st.dictionaries(_partition_text, st.integers() | _json_values, max_size=3)
+        | _json_values,
+        "weight": st.integers(-1, 6) | st.integers() | _json_values,
+    }
+)
+
+
+@given(_json_values | _matrix_like)
+def test_matrix_from_any_json_value_is_a_matrix_or_a_value_error(data):
+    try:
+        m = PartitionMatrix.from_json(data)
+    except ValueError:
+        return
+    assert PartitionMatrix.from_json(m.to_json()) == m
+
+
+@given(_json_values | _expansion_like)
+def test_expansion_from_any_json_value_is_an_expansion_or_a_value_error(data):
+    try:
+        f = SymFuncExpansion.from_json(data)
+    except ValueError:
+        return
+    assert SymFuncExpansion.from_json(f.to_json()) == f
+
+
+@pytest.mark.parametrize(
+    "cls, data, message",
+    [
+        (PartitionMatrix, {"n": 3}, "lacks key order, rows"),
+        (PartitionMatrix, [1], "expected a JSON object with keys n, order, rows"),
+        (PartitionMatrix, {"n": 1, "order": ["[1]"], "rows": [[True]]}, "rows:"),
+        (SymFuncExpansion, {"basis": "e", "coeffs": [], "weight": 1}, "coeffs:"),
+        (SymFuncExpansion, {"basis": "e", "coeffs": {"[1]": True}, "weight": 1}, "coeffs:"),
+    ],
+)
+def test_matrix_and_expansion_json_errors_name_the_key(cls, data, message):
+    with pytest.raises(ValueError, match=message):
+        cls.from_json(data)
 
 
 # ------------------------------------------------------- exhaustive sweep

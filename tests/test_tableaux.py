@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from conftest import partitions_of
 from rimhook import (
+    HookClass,
     RimHook,
     SemistandardTableau,
     SpecialRimHookTableau,
@@ -43,6 +44,31 @@ def is_hook_block(block) -> bool:
             return False
         spans[i] = (a, b)
     return all(spans[i][0] == spans[i + 1][1] for i in range(lo, hi))
+
+
+def oracle_role(hook, cell):
+    """The class of `cell` as a root of `hook` from the neighbour-set
+    definitions: a corner has both lower and right, or both upper and left,
+    neighbours in the hook; ends are told apart by the step next to them."""
+    s = set(hook.walk)
+    if cell not in s:
+        return None
+    i, j = cell
+    if len(hook.walk) == 1:
+        return HookClass.SINGLETON
+    if cell == hook.head:
+        if hook.walk[-2] == (i, j - 1):
+            return HookClass.HEAD_HORIZONTAL
+        return HookClass.HEAD_VERTICAL
+    if cell == hook.tail:
+        if hook.walk[1] == (i - 1, j):
+            return HookClass.TAIL_VERTICAL
+        return HookClass.TAIL_HORIZONTAL
+    if (i + 1, j) in s and (i, j + 1) in s:
+        return HookClass.INNER_CORNER
+    if (i - 1, j) in s and (i, j - 1) in s:
+        return HookClass.OUTER_CORNER
+    return None
 
 
 def is_special_block(block) -> bool:
@@ -132,8 +158,12 @@ def test_head_tail_leg_sign():
 def test_permissible_cells_of_the_four_cell_hook():
     # Walk (2,1) -> (2,2) -> (1,2) -> (1,3): one turn of each kind.
     h = RimHook(((2, 1), (2, 2), (1, 2), (1, 3)))
-    assert h.internal_corners() == frozenset({(1, 2)})
-    assert h.external_corners() == frozenset({(2, 2)})
+    assert [h.role(c) for c in h.walk] == [
+        HookClass.TAIL_HORIZONTAL,
+        HookClass.OUTER_CORNER,
+        HookClass.INNER_CORNER,
+        HookClass.HEAD_HORIZONTAL,
+    ]
     assert h.permissible_cells() == frozenset({(2, 1), (2, 2), (1, 2), (1, 3)})
 
 
@@ -146,6 +176,25 @@ def test_permissible_cells_degenerate_hooks():
     assert RimHook(((3, 1), (2, 1), (1, 1))).permissible_cells() == frozenset(
         {(3, 1), (1, 1)}
     )
+
+
+def test_role_matches_the_neighbour_definitions():
+    # every hook of every tiling with n <= 8, against every cell of its
+    # bounding box grown by one cell on each side
+    hooks = {
+        h
+        for n in range(1, 9)
+        for shape in enumerate_partitions(n)
+        for t in enumerate_srht_all_types(shape)
+        for h in t.hooks
+    }
+    for h in hooks:
+        rows = [i for i, _ in h.walk]
+        cols = [j for _, j in h.walk]
+        for i in range(min(rows) - 1, max(rows) + 2):
+            for j in range(min(cols) - 1, max(cols) + 2):
+                assert h.role((i, j)) is oracle_role(h, (i, j)), (h.walk, (i, j))
+        assert h.permissible_cells() == {c for c in h.walk if oracle_role(h, c)}
 
 
 @given(st.integers(min_value=1, max_value=6).flatmap(partitions_of))
