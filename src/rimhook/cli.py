@@ -62,11 +62,18 @@ from .tableaux import (
 # weight 15) took 22 s.
 # `corpus --max-elements 8` takes about 90 s, but n = 9 would grow all
 # 183,231 posets on 9 elements, so 8 is the bound there.
+# `csf` counts fillings column by column, and chains are its slowest orders:
+# a 12-chain took 2.5 s and a 13-chain 12.3 s (16 did not finish in 120 s).
+# At height ≤ 2 `csf` and `ss-involution` build the census, whose fillings
+# grow like n!: a 9-element antichain took 1.9 s (114 MiB) in either
+# command, and 10 elements took 21 s and 990 MiB.
 MAX_MATRIX_N = 19
 MAX_VERIFY_N = 8
 MAX_ENTRY_N = 48
 _MAX_CONTENT_N = 14
 MAX_CORPUS_N = 8
+MAX_POSET_N = 12
+MAX_CENSUS_N = 9
 
 
 def _admit_n(n: int, bound: int, flag: str = "--n") -> int:
@@ -84,7 +91,14 @@ def _parse_cell(text: str) -> tuple[int, int]:
 
 
 def _load_poset(path: str) -> Poset:
-    return parse_poset(Path(path).read_text())
+    """The poset in `path` if `csf` and `ss-involution` take it: at most
+    MAX_POSET_N elements, and at most MAX_CENSUS_N at height ≤ 2, where a
+    census runs."""
+    poset = parse_poset(Path(path).read_text())
+    n = _admit_n(len(poset), MAX_POSET_N, "the number of elements")
+    if n > MAX_CENSUS_N and height(poset) <= 2:
+        _admit_n(n, MAX_CENSUS_N, "the number of elements at height <= 2")
+    return poset
 
 
 def _indented_json(obj) -> str:
@@ -271,8 +285,7 @@ def _cmd_csf(args) -> int:
 
 
 def _cmd_ss(args) -> int:
-    poset = _load_poset(args.poset)
-    census = stanley_stembridge_involution(poset)
+    census = stanley_stembridge_involution(_load_poset(args.poset))
 
     def text() -> str:
         lines = [
@@ -298,7 +311,7 @@ def _cmd_ss(args) -> int:
 
 
 def _cmd_ab_free(args) -> int:
-    poset = _load_poset(args.poset)
+    poset = parse_poset(Path(args.poset).read_text())
     print("true" if is_ab_free(poset, args.a, args.b) else "false")
     return 0
 

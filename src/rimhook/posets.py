@@ -25,7 +25,6 @@ bits numbered in sorted-label order.
 from __future__ import annotations
 
 import itertools
-import reprlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -38,12 +37,7 @@ from .partitions import (
     format_partition,
 )
 from .symfunc import SymFuncExpansion, inverse_kostka_matrix
-from .tableaux import (
-    SpecialRimHookTableau,
-    _json_fields,
-    _json_list,
-    enumerate_srht_all_types,
-)
+from .tableaux import SpecialRimHookTableau, enumerate_srht_all_types
 
 Rows = tuple[tuple[str, ...], ...]
 PairST = tuple[SpecialRimHookTableau, Rows]
@@ -135,24 +129,6 @@ class Poset:
             "elements": list(self.elements),
             "relations": sorted([x, y] for (x, y) in self.less),
         }
-
-    @classmethod
-    def from_json(cls, data) -> "Poset":
-        """The inverse of `to_json`: `elements` is a list of strings and
-        `relations` a list of [x, y] string pairs; any other value is a
-        ValueError naming its key."""
-        elements, relations = _json_fields(data, "elements", "relations")
-        elements = _json_list(elements, "elements")
-        if any(type(x) is not str for x in elements):
-            raise ValueError(f"elements: expected a list of strings, got {reprlib.repr(elements)}")
-        pairs = []
-        for r in _json_list(relations, "relations"):
-            if type(r) is not list or len(r) != 2 or any(type(x) is not str for x in r):
-                raise ValueError(
-                    f"relations: expected a list of [x, y] string pairs, got {reprlib.repr(r)}"
-                )
-            pairs.append(tuple(r))
-        return cls.from_relations(elements, pairs)
 
 
 def parse_poset(text: str) -> Poset:
@@ -254,14 +230,6 @@ class Graph:
         object.__setattr__(self, "edges", normalized)
 
     @cached_property
-    def adjacency(self) -> dict[str, frozenset[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {v: frozenset(s) for v, s in adj.items()}
-
-    @cached_property
     def independent_partition_counts(self) -> tuple[int, ...]:
         """a_j, the number of partitions of the vertices into j non-empty
         independent sets, for j = 0..n.
@@ -295,12 +263,6 @@ class Graph:
                 sub = (sub - 1) & rest
             parts.append(row)
         return tuple(parts[-1])
-
-    def to_json(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "edges": sorted([u, v] for (u, v) in self.edges),
-        }
 
 
 def incomparability_graph(poset: Poset) -> Graph:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import io
 import csv as _csv
 import operator
-import reprlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
@@ -25,9 +24,7 @@ from .partitions import (
     conjugate,
     enumerate_partitions,
     format_partition,
-    parse_partition,
 )
-from .tableaux import _json_fields, _json_int, _json_ints, _json_list
 
 
 @dataclass(frozen=True)
@@ -83,25 +80,6 @@ class PartitionMatrix:
             "order": [format_partition(p) for p in self.order],
             "rows": [list(r) for r in self.rows],
         }
-
-    @classmethod
-    def from_json(cls, data) -> "PartitionMatrix":
-        n, order, rows = _json_fields(data, "n", "order", "rows")
-        return cls(
-            _json_int(n, "n"),
-            tuple(_json_partition(s, "order") for s in _json_list(order, "order")),
-            tuple(_json_ints(r, "rows") for r in _json_list(rows, "rows")),
-        )
-
-
-def _json_partition(value, key: str) -> Partition:
-    """A partition from a JSON string such as "[3,1]"; else a ValueError naming `key`."""
-    if type(value) is not str:
-        raise ValueError(f"{key}: expected a partition string, got {reprlib.repr(value)}")
-    try:
-        return parse_partition(value)
-    except ValueError as e:
-        raise ValueError(f"{key}: {e}") from None
 
 
 def _horizontal_strips(lam: Partition, size: int):
@@ -281,6 +259,8 @@ class SymFuncExpansion:
     def __post_init__(self):
         if self.basis not in ("e", "s", "m"):
             raise ValueError(f"unknown basis {self.basis!r}")
+        if self.weight < 0:
+            raise ValueError(f"weight {self.weight} is negative")
         cleaned = {}
         for part, c in self.coeffs.items():
             part = check_partition(part)
@@ -318,17 +298,6 @@ class SymFuncExpansion:
             "weight": self.weight,
             "coeffs": {format_partition(p): c for p, c in self.terms()},
         }
-
-    @classmethod
-    def from_json(cls, data) -> "SymFuncExpansion":
-        basis, coeffs, weight = _json_fields(data, "basis", "coeffs", "weight")
-        if type(coeffs) is not dict:
-            raise ValueError(f"coeffs: expected an object, got {reprlib.repr(coeffs)}")
-        return cls(
-            basis,
-            {_json_partition(k, "coeffs"): _json_int(v, "coeffs") for k, v in coeffs.items()},
-            _json_int(weight, "weight"),
-        )
 
 
 def schur_to_e(lam) -> SymFuncExpansion:

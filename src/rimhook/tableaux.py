@@ -61,11 +61,11 @@ def _json_ints(value, key: str, length: int | None = None) -> tuple[int, ...]:
     return tuple(items)
 
 
-def _json_hooks(value, key: str = "hooks") -> tuple[RimHook, ...]:
+def _json_hooks(value) -> tuple[RimHook, ...]:
     """Hooks from a JSON list of walks, each a list of [i, j] cells."""
     return tuple(
-        RimHook(tuple(_json_ints(c, key, 2) for c in _json_list(walk, key)))
-        for walk in _json_list(value, key)
+        RimHook(tuple(_json_ints(c, "hooks", 2) for c in _json_list(walk, "hooks")))
+        for walk in _json_list(value, "hooks")
     )
 
 
@@ -122,12 +122,6 @@ class RimHook:
         # steps go up or right, so the head has the least row, the tail the least column
         if self.head[0] < 1 or self.tail[1] < 1:
             raise ValueError(f"cell off the diagram: tail {self.tail}, head {self.head}")
-
-    @classmethod
-    def from_cells(cls, cs) -> "RimHook":
-        # a monotone staircase visits lower rows first and, within a row,
-        # left cells first, so sorting recovers the walk order
-        return cls(tuple(sorted(set(cs), key=lambda c: (-c[0], c[1]))))
 
     def __len__(self) -> int:
         return len(self.walk)
@@ -190,10 +184,6 @@ class RimHook:
     def to_json(self) -> list[list[int]]:
         return [[i, j] for (i, j) in self.walk]
 
-    @classmethod
-    def from_json(cls, data) -> "RimHook":
-        return _json_hooks([data], "hook")[0]
-
 
 @dataclass(frozen=True)
 class SemistandardTableau:
@@ -224,13 +214,6 @@ class SemistandardTableau:
             for i, row in enumerate(self.rows, 1)
             for j, v in enumerate(row, 1)
         }
-
-    def content(self) -> tuple[int, ...]:
-        """Composition c with c[k-1] = number of entries equal to k."""
-        flat = [v for row in self.rows for v in row]
-        if not flat:
-            return ()
-        return tuple(flat.count(k) for k in range(1, max(flat) + 1))
 
     @property
     def is_standard(self) -> bool:

@@ -19,3 +19,10 @@ def partitions_of(n: int):
 # Any partition of weight 0..8, weights equally likely.
 partitions = st.integers(min_value=0, max_value=8).flatmap(partitions_of)
 nonempty_partitions = st.integers(min_value=1, max_value=8).flatmap(partitions_of)
+
+# Any decoded JSON value; integers are unbounded, so huge coordinates occur.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)

@@ -17,9 +17,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import rimhook
 from rimhook.cli import (
+    MAX_CENSUS_N,
     MAX_CORPUS_N,
     MAX_ENTRY_N,
     MAX_MATRIX_N,
+    MAX_POSET_N,
     MAX_VERIFY_N,
     _MAX_CONTENT_N,
     _indented_json,
@@ -29,10 +31,10 @@ from rimhook.cli import (
 from rimhook.involution import RootedTableau, inner_involution, trace_to_json
 from rimhook.partitions import enumerate_partitions, format_partition
 from rimhook.posets import SSCensus
-from rimhook.symfunc import inverse_kostka_matrix, kostka_matrix, PartitionMatrix
+from rimhook.symfunc import inverse_kostka_matrix, kostka_matrix
 from rimhook.tableaux import enumerate_srht
 
-from conftest import FIXTURES, load_fixture
+from conftest import FIXTURES, json_values, load_fixture
 
 EXAMPLE_POSET = str(FIXTURES / "example.poset")
 
@@ -55,7 +57,7 @@ def test_kostka_matrix_text(capsys):
 def test_kostka_matrix_json_round_trips(capsys):
     code, out, _ = run_cli(capsys, "kostka", "--n", "3", "--format", "json")
     assert code == 0
-    assert PartitionMatrix.from_json(json.loads(out)) == kostka_matrix(3)
+    assert json.loads(out) == kostka_matrix(3).to_json()
 
 
 def test_kostka_single_entry(capsys):
@@ -387,6 +389,51 @@ def test_csf_json_carries_both_bases(capsys):
     assert data["census"]["total_pairs"] == 20
 
 
+# chains are the slowest orders for the filling counter; an antichain has
+# n! fillings of one row, and the census lists them
+_LONG_CHAIN = " < ".join(f"x{i}" for i in range(MAX_POSET_N + 1))
+_WIDE_ANTICHAIN = "\n".join(f"a{i}" for i in range(MAX_CENSUS_N + 1))
+
+
+@pytest.mark.parametrize(
+    "command, text, bound, what",
+    [
+        ("csf", _LONG_CHAIN, MAX_POSET_N, "elements"),
+        ("csf", _WIDE_ANTICHAIN, MAX_CENSUS_N, "height <= 2"),
+        ("ss-involution", _WIDE_ANTICHAIN, MAX_CENSUS_N, "height <= 2"),
+    ],
+    ids=["csf-chain", "csf-antichain", "ss-involution-antichain"],
+)
+def test_poset_sizes_beyond_the_bound_are_refused(capsys, tmp_path, command, text, bound, what):
+    path = tmp_path / "big.poset"
+    path.write_text(text + "\n")
+    code, out, err = run_cli(capsys, command, "--poset", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert what in err and f"must be at most {bound}" in err
+
+
+@pytest.mark.parametrize(
+    "command, levels, bound, answer",
+    [
+        # ordinal sums of antichains: the graph is a union of cliques
+        ("csf", (4, 4, 4), MAX_POSET_N, "13824 e[4,4,4]"),
+        ("csf", (4, 5), MAX_CENSUS_N, "2880 e[5,4]"),
+        ("ss-involution", (4, 5), MAX_CENSUS_N, "coefficients: 2880 e[5,4]"),
+    ],
+    ids=["csf-4+4+4", "csf-4+5", "ss-involution-4+5"],
+)
+def test_poset_sizes_at_the_bound_are_answered(capsys, tmp_path, command, levels, bound, answer):
+    assert sum(levels) == bound
+    names = [[f"l{k}x{i}" for i in range(size)] for k, size in enumerate(levels)]
+    path = tmp_path / "sum.poset"
+    lines = [f"{x} < {y}\n" for low, high in zip(names, names[1:]) for x in low for y in high]
+    path.write_text("".join(lines))
+    code, out, err = run_cli(capsys, command, "--poset", str(path))
+    assert code == 0 and err == ""
+    assert out.rstrip("\n").endswith(answer)
+
+
 def test_csf_rejects_forbidden_order(capsys, tmp_path):
     bad = tmp_path / "bad.poset"
     bad.write_text("a < b < c\nd\n")
@@ -614,6 +661,54 @@ def test_writer_refuses_other_types(value):
         _indented_json(value)
 
 
+def _ends_cleanly(argv) -> int:
+    """Run `argv` through `main`: it must exit 0 with an answer or 1 with
+    `error:`.  Returns the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1), argv
+    if code == 1:
+        assert err.startswith("error:") and "Traceback" not in err
+    else:
+        assert err == "" and out
+    return code
+
+
+# ----------------------------------------------------------- pair file fuzz
+
+
+_cells = st.lists(st.lists(st.integers(-1, 4) | st.integers(), min_size=2, max_size=2), max_size=4)
+_tableau_like = st.fixed_dictionaries(
+    {
+        "shape": st.lists(st.integers(-1, 4) | st.integers(), max_size=3) | json_values,
+        "hooks": st.lists(_cells, max_size=3) | json_values,
+    }
+)
+_filling_like = st.fixed_dictionaries(
+    {
+        "rows": st.lists(st.lists(st.integers(-1, 5) | st.integers(), max_size=3), max_size=3)
+        | json_values
+    }
+)
+_pair_like = st.fixed_dictionaries(
+    {
+        "tableau": st.just(_OPENING["tableau"]) | _tableau_like | json_values,
+        "filling": st.just(_OPENING["filling"]) | _filling_like | json_values,
+    }
+)
+
+
+@settings(deadline=1000)
+@given(data=json_values | _pair_like)
+@example(data=_OPENING)
+def test_pair_files_end_in_an_answer_or_an_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "pair.json"
+    path.write_text(json.dumps(data))
+    _ends_cleanly(["involve", "--pair", str(path)])
+
+
 # --------------------------------------------------------- poset file fuzz
 
 
@@ -639,21 +734,8 @@ _poset_texts = st.lists(_poset_lines, max_size=8).map("\n".join)
 
 
 def _poset_commands_end_cleanly(path) -> list[int]:
-    """Run the three poset commands on `path`; each must exit 0 with an
-    answer or 1 with `error:`.  Returns the exit codes."""
-    codes = []
-    for command in ("csf", "ss-involution", "ab-free"):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--poset", str(path)])
-        out, err = out.getvalue(), err.getvalue()
-        assert code in (0, 1), (command, path.read_bytes())
-        if code == 1:
-            assert err.startswith("error:") and "Traceback" not in err
-        else:
-            assert err == "" and out
-        codes.append(code)
-    return codes
+    """Run the three poset commands on `path`; returns the exit codes."""
+    return [_ends_cleanly([c, "--poset", str(path)]) for c in ("csf", "ss-involution", "ab-free")]
 
 
 @settings(deadline=1000, max_examples=60)

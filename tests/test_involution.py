@@ -19,7 +19,6 @@ from rimhook.involution import (
     trace_to_json,
 )
 from rimhook.partitions import cells, enumerate_partitions, num_partitions
-from rimhook.symfunc import PartitionMatrix, SymFuncExpansion
 from rimhook.tableaux import (
     RimHook,
     SemistandardTableau,
@@ -27,7 +26,7 @@ from rimhook.tableaux import (
     enumerate_srht_all_types,
 )
 
-from conftest import load_fixture
+from conftest import json_values, load_fixture
 
 
 def corner_cells(shape):
@@ -328,92 +327,29 @@ def test_region_is_the_diagram_minus_the_root(n):
             assert cells(state.region()) == cells(state.shape) - {state.root}
 
 
-# any decoded JSON value; integers are unbounded, so huge coordinates occur
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=20,
-)
 _cell = st.lists(st.integers(-1, 6) | st.integers(), min_size=2, max_size=2)
 _cellish = st.lists(st.lists(_cell, min_size=1, max_size=5), max_size=4)
 _state_like = st.fixed_dictionaries(
     {
-        "shape": st.lists(st.integers(-1, 6) | st.integers(), max_size=4) | _json_values,
-        "hooks": _cellish | _json_values,
-        "root": _cell | _json_values,
-        "active": st.integers(-1, 4) | _json_values,
+        "shape": st.lists(st.integers(-1, 6) | st.integers(), max_size=4) | json_values,
+        "hooks": _cellish | json_values,
+        "root": _cell | json_values,
+        "active": st.integers(-1, 4) | json_values,
     }
 )
 _SIX_STEP = load_fixture("six_step_state.json")["initial"]
 _six_step_with_one_value_replaced = st.sampled_from(sorted(_SIX_STEP)).flatmap(
-    lambda key: _json_values.map(lambda v: {**_SIX_STEP, key: v})
+    lambda key: json_values.map(lambda v: {**_SIX_STEP, key: v})
 )
 
 
-@given(_json_values | _state_like | _six_step_with_one_value_replaced)
+@given(json_values | _state_like | _six_step_with_one_value_replaced)
 def test_state_from_any_json_value_is_a_state_or_a_value_error(data):
     try:
         state = RootedTableau.from_json(data)
     except ValueError:
         return
     assert RootedTableau.from_json(state.to_json()) == state
-
-
-# partition strings, well formed or not, and any other text
-_partition_text = (
-    st.lists(st.integers(-1, 4) | st.integers(), max_size=3).map(
-        lambda parts: "[" + ",".join(map(str, parts)) + "]"
-    )
-    | st.text()
-)
-_matrix_like = st.fixed_dictionaries(
-    {
-        "n": st.integers(-1, 4) | _json_values,
-        "order": st.lists(_partition_text, max_size=3) | _json_values,
-        "rows": st.lists(st.lists(st.integers(), max_size=3), max_size=3) | _json_values,
-    }
-)
-_expansion_like = st.fixed_dictionaries(
-    {
-        "basis": st.sampled_from(["e", "s", "m"]) | _json_values,
-        "coeffs": st.dictionaries(_partition_text, st.integers() | _json_values, max_size=3)
-        | _json_values,
-        "weight": st.integers(-1, 6) | st.integers() | _json_values,
-    }
-)
-
-
-@given(_json_values | _matrix_like)
-def test_matrix_from_any_json_value_is_a_matrix_or_a_value_error(data):
-    try:
-        m = PartitionMatrix.from_json(data)
-    except ValueError:
-        return
-    assert PartitionMatrix.from_json(m.to_json()) == m
-
-
-@given(_json_values | _expansion_like)
-def test_expansion_from_any_json_value_is_an_expansion_or_a_value_error(data):
-    try:
-        f = SymFuncExpansion.from_json(data)
-    except ValueError:
-        return
-    assert SymFuncExpansion.from_json(f.to_json()) == f
-
-
-@pytest.mark.parametrize(
-    "cls, data, message",
-    [
-        (PartitionMatrix, {"n": 3}, "lacks key order, rows"),
-        (PartitionMatrix, [1], "expected a JSON object with keys n, order, rows"),
-        (PartitionMatrix, {"n": 1, "order": ["[1]"], "rows": [[True]]}, "rows:"),
-        (SymFuncExpansion, {"basis": "e", "coeffs": [], "weight": 1}, "coeffs:"),
-        (SymFuncExpansion, {"basis": "e", "coeffs": {"[1]": True}, "weight": 1}, "coeffs:"),
-    ],
-)
-def test_matrix_and_expansion_json_errors_name_the_key(cls, data, message):
-    with pytest.raises(ValueError, match=message):
-        cls.from_json(data)
 
 
 # ------------------------------------------------------- exhaustive sweep
