@@ -30,6 +30,7 @@ from .posets import (
     is_ab_free,
     enumerate_posets,
     parse_poset,
+    read_poset,
     stanley_stembridge_involution,
 )
 from .symfunc import (
@@ -42,6 +43,7 @@ from .symfunc import (
 from .tableaux import (
     SemistandardTableau,
     SpecialRimHookTableau,
+    _count_srht,
     _json_fields,
     enumerate_srht,
     enumerate_ssyt,
@@ -67,6 +69,13 @@ from .tableaux import (
 # At height ≤ 2 `csf` and `ss-involution` build the census, whose fillings
 # grow like n!: a 9-element antichain took 1.9 s (114 MiB) in either
 # command, and 10 elements took 21 s and 990 MiB.
+# `trace --shape --type` lists every tiling of its shape, and 1^n has the
+# most of its weight, 2^(n-1): `trace --shape 1^18` took 7.8 s (74 MiB) and
+# 1^19 took 17 s (133 MiB).  So it lists at most as many as 1^MAX_TRACE_N
+# has, counted first by the strip recursion at weight at most MAX_ENTRY_N,
+# the weight that recursion takes in `inv-kostka --shape` (counting 1^48
+# took 2 ms, 3^16 14 ms); a heavier shape with fewer tilings, such as
+# [12,10,8,6,4,2] with 360, is answered.
 MAX_MATRIX_N = 19
 MAX_VERIFY_N = 8
 MAX_ENTRY_N = 48
@@ -74,6 +83,7 @@ _MAX_CONTENT_N = 14
 MAX_CORPUS_N = 8
 MAX_POSET_N = 12
 MAX_CENSUS_N = 9
+MAX_TRACE_N = 18
 
 
 def _admit_n(n: int, bound: int, flag: str = "--n") -> int:
@@ -92,10 +102,11 @@ def _parse_cell(text: str) -> tuple[int, int]:
 
 def _load_poset(path: str) -> Poset:
     """The poset in `path` if `csf` and `ss-involution` take it: at most
-    MAX_POSET_N elements, and at most MAX_CENSUS_N at height ≤ 2, where a
-    census runs."""
-    poset = parse_poset(Path(path).read_text())
-    n = _admit_n(len(poset), MAX_POSET_N, "the number of elements")
+    MAX_POSET_N elements, counted before the closure is built, and at most
+    MAX_CENSUS_N at height ≤ 2, where a census runs."""
+    elements, relations = read_poset(Path(path).read_text())
+    n = _admit_n(len(elements), MAX_POSET_N, "the number of elements")
+    poset = Poset.from_relations(elements, relations)
     if n > MAX_CENSUS_N and height(poset) <= 2:
         _admit_n(n, MAX_CENSUS_N, "the number of elements at height <= 2")
     return poset
@@ -245,6 +256,8 @@ def _trace_start(args) -> RootedTableau:
     if not (args.shape and args.type and args.root):
         raise ValueError("need --input, or --shape/--type/--root")
     shape = parse_partition(args.shape)
+    _admit_n(sum(shape), MAX_ENTRY_N, "the weight of --shape")
+    _admit_n(_count_srht(shape), 2 ** (MAX_TRACE_N - 1), "the number of tilings of --shape")
     typ = parse_partition(args.type)
     root = _parse_cell(args.root)
     tableaux = enumerate_srht(shape, typ)

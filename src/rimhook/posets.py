@@ -131,9 +131,13 @@ class Poset:
         }
 
 
-def parse_poset(text: str) -> Poset:
-    """Poset file format: `x < y` relation lines, bare lines naming isolated
-    elements, `#` comments.  Elements appear in first-mention order."""
+def read_poset(text: str) -> tuple[tuple[str, ...], list[tuple[str, str]]]:
+    """The distinct element names and the relations of a poset file, read
+    in one pass; nothing is closed or checked for cycles.
+
+    Poset file format: `x < y` relation lines (chains `x < y < z` allowed),
+    bare lines naming isolated elements, `#` comments.  Elements appear in
+    first-mention order."""
     elements: list[str] = []
     seen: set[str] = set()
     relations: list[tuple[str, str]] = []
@@ -159,7 +163,12 @@ def parse_poset(text: str) -> Poset:
             if line.split() != [line]:
                 raise ValueError(f"line {lineno}: element names cannot contain whitespace")
             note(line)
-    return Poset.from_relations(tuple(elements), relations)
+    return tuple(elements), relations
+
+
+def parse_poset(text: str) -> Poset:
+    """The poset of a poset file (see `read_poset`), transitively closed."""
+    return Poset.from_relations(*read_poset(text))
 
 
 def height(poset: Poset) -> int:

@@ -3,8 +3,10 @@
 The tableau-count matrix is upper unitriangular in the canonical
 (reverse-lexicographic) order; its inverse is assembled entry-by-entry
 from signed special rim-hook tableaux, never by numerical inversion.
-Both matrices count their tableaux by recursion instead of building them;
-the enumerators in `tableaux` are the reference they are tested against.
+Both matrices count their tableaux by recursion instead of building them.
+K is tested against the semistandard enumerator in `tableaux`; K⁻¹ shares
+its strip step with the tilings' lister there, which the tests check
+against a search over every up/right walk.
 Expansions carry exact integer coefficients in the e, s, or m basis.
 """
 
@@ -25,6 +27,7 @@ from .partitions import (
     enumerate_partitions,
     format_partition,
 )
+from .tableaux import _outer_rim_strips
 
 
 @dataclass(frozen=True)
@@ -133,25 +136,18 @@ def _srht_type_counts(shape: Partition, memo: dict) -> tuple[tuple[Partition, in
     """Signed count of the special rim-hook tableaux of `shape`, per type,
     as (type, count) pairs with nonzero counts.
 
-    Eğecioğlu–Remmel's recursion: the hook whose tail is the bottom
-    column-1 cell runs along the outer rim: no other special hook can reach a cell of the bottom row, or a
-    cell right of this hook in a row it enters.  So it climbs row by row
-    (rows indexed from 0 here), covering row i from column shape[i+1]
-    (column 1 in the bottom row) to the row's end, and stops at the end of
-    some row `top`.  That leaves nu with nu[i] = shape[i+1] - 1 for
-    i >= top and the rows above untouched; the hook's sign is
-    (-1)^(rows spanned - 1).  The caller owns `memo`, so no count outlives it.
+    Eğecioğlu–Remmel's recursion over `tableaux._outer_rim_strips`: the hook
+    whose tail is the bottom column-1 cell ends at the end of row `top`,
+    has `size` cells and sign (-1)^(rows spanned - 1), and leaves nu.  The
+    caller owns `memo`, so no count outlives it.
     """
     if not shape:
         return (((), 1),)
     if shape not in memo:
         ell = len(shape)
         counts: dict[Partition, int] = {}
-        size = 0
-        for top in range(ell - 1, -1, -1):
-            size += shape[top] - (shape[top + 1] - 1 if top + 1 < ell else 0)
+        for top, size, nu in _outer_rim_strips(shape):
             sign = -1 if (ell - 1 - top) % 2 else 1
-            nu = shape[:top] + tuple(x - 1 for x in shape[top + 1:] if x > 1)
             for typ, c in _srht_type_counts(nu, memo):
                 key = tuple(sorted(typ + (size,), reverse=True))
                 counts[key] = counts.get(key, 0) + sign * c

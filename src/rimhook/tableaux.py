@@ -333,48 +333,58 @@ class SpecialRimHookTableau:
         )
 
 
-def _staircase_walks(start: Cell, region: frozenset[Cell]) -> Iterator[tuple[Cell, ...]]:
-    """Every up/right walk from `start` inside `region` (all lengths)."""
-    walk = [start]
+def _outer_rim_strips(shape: Partition) -> Iterator[tuple[int, int, Partition]]:
+    """Eğecioğlu–Remmel's strip step: the hook whose tail is the bottom
+    column-1 cell, one `(top, size, nu)` per place it can end.
 
-    def extend() -> Iterator[tuple[Cell, ...]]:
-        yield tuple(walk)
-        i, j = walk[-1]
-        for nxt in ((i, j + 1), (i - 1, j)):
-            if nxt in region:
-                walk.append(nxt)
-                yield from extend()
-                walk.pop()
-
-    yield from extend()
+    No other special hook can reach a cell of the bottom row, or a cell
+    right of this hook in a row it enters, so the hook runs along the outer
+    rim.  It climbs row by row (rows indexed from 0 here), covering row i
+    from column shape[i+1] (column 1 in the bottom row) to the row's end,
+    and stops at the end of some row `top`, bottom row first.  It has
+    `size` cells and leaves nu, with nu[i] = shape[i+1] - 1 for i >= top
+    and the rows above untouched, in the same cells.
+    """
+    ell = len(shape)
+    size = 0
+    for top in range(ell - 1, -1, -1):
+        size += shape[top] - (shape[top + 1] - 1 if top + 1 < ell else 0)
+        yield top, size, shape[:top] + tuple(x - 1 for x in shape[top + 1:] if x > 1)
 
 
 @lru_cache(maxsize=None)
 def _all_srht(shape: Partition) -> tuple[SpecialRimHookTableau, ...]:
     """Every special rim-hook tableau of the given shape.
 
-    Peels hooks at the lowest uncovered column-1 cell: that cell must be
-    the tail of the hook covering it, so each tableau is built exactly once,
-    hooks in canonical order.
+    Each is one of the strips of `_outer_rim_strips` followed by a tableau
+    of what it leaves, so each is built exactly once, hooks in canonical
+    order.  A strip is one `RimHook`, shared by the tableaux that start
+    with it.
     """
+    if not shape:
+        return (SpecialRimHookTableau(shape, ()),)
     out: list[SpecialRimHookTableau] = []
-
-    def peel(region: frozenset[Cell], acc: list[RimHook]):
-        if not region:
-            out.append(SpecialRimHookTableau(shape, tuple(acc)))
-            return
-        col1 = [c for c in region if c[1] == 1]
-        if not col1:
-            return  # dead branch: leftover cells unreachable by special hooks
-        start = max(col1)
-        for walk in _staircase_walks(start, region):
-            hook = RimHook(walk)
-            acc.append(hook)
-            peel(region - hook.cell_set, acc)
-            acc.pop()
-
-    peel(frozenset(cells(shape)), [])
+    walk: list[Cell] = []
+    for top, size, nu in _outer_rim_strips(shape):
+        # the strip grows by the end of row `top`: its last size - len(walk) cells
+        row = shape[top]
+        walk.extend((top + 1, j) for j in range(row - (size - len(walk)) + 1, row + 1))
+        hook = RimHook(tuple(walk))
+        out.extend(SpecialRimHookTableau(shape, (hook,) + t.hooks) for t in _all_srht(nu))
     return tuple(out)
+
+
+def _count_srht(shape: Partition) -> int:
+    """len(_all_srht(shape)), by the same recursion, building no tableau;
+    the memo lives for one call."""
+    memo = {(): 1}
+
+    def count(lam: Partition) -> int:
+        if lam not in memo:
+            memo[lam] = sum(count(nu) for _, _, nu in _outer_rim_strips(lam))
+        return memo[lam]
+
+    return count(shape)
 
 
 def enumerate_srht(shape, type) -> list[SpecialRimHookTableau]:

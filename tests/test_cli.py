@@ -22,6 +22,7 @@ from rimhook.cli import (
     MAX_ENTRY_N,
     MAX_MATRIX_N,
     MAX_POSET_N,
+    MAX_TRACE_N,
     MAX_VERIFY_N,
     _MAX_CONTENT_N,
     _indented_json,
@@ -29,10 +30,10 @@ from rimhook.cli import (
     main,
 )
 from rimhook.involution import RootedTableau, inner_involution, trace_to_json
-from rimhook.partitions import enumerate_partitions, format_partition
-from rimhook.posets import SSCensus
+from rimhook.partitions import enumerate_partitions, format_partition, parse_partition
+from rimhook.posets import Poset, SSCensus
 from rimhook.symfunc import inverse_kostka_matrix, kostka_matrix
-from rimhook.tableaux import enumerate_srht
+from rimhook.tableaux import enumerate_srht, enumerate_srht_all_types
 
 from conftest import FIXTURES, json_values, load_fixture
 
@@ -310,6 +311,45 @@ def test_trace_index_out_of_range(capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize(
+    "shape, typ, root, tilings",
+    [
+        (f"[{MAX_TRACE_N}]", f"[{MAX_TRACE_N}]", f"1,{MAX_TRACE_N}", 1),
+        (f"[{MAX_TRACE_N + 1}]", f"[{MAX_TRACE_N + 1}]", f"1,{MAX_TRACE_N + 1}", 1),
+        ("[12,10,8,6,4,2]", "[14,10,9,4,3,2]", "6,2", 360),
+    ],
+    ids=["row-at-the-weight", "row-past-the-weight", "staircase-42"],
+)
+def test_trace_shapes_within_the_tiling_bound_are_answered(capsys, shape, typ, root, tilings):
+    # the bound is on the tilings listed, so weight alone refuses nothing
+    assert len(enumerate_srht_all_types(parse_partition(shape))) == tilings
+    code, out, err = run_cli(capsys, "trace", "--shape", shape, "--type", typ, "--root", root)
+    assert code == 0 and err == ""
+    assert re.search(r"sign [+-]1 -> [+-]1$", out.rstrip("\n"))
+
+
+@pytest.mark.parametrize(
+    "n, what, bound",
+    [
+        # 1^n has the most tilings of its weight, 2^(n-1)
+        (MAX_TRACE_N + 1, "the number of tilings of --shape", 2 ** (MAX_TRACE_N - 1)),
+        (MAX_ENTRY_N + 1, "the weight of --shape", MAX_ENTRY_N),
+        (5000, "the weight of --shape", MAX_ENTRY_N),
+    ],
+)
+def test_trace_shapes_beyond_the_bound_are_refused(capsys, monkeypatch, n, what, bound):
+    def listing(*args):
+        raise AssertionError("listed the tilings of a shape over the bound")
+
+    monkeypatch.setattr(rimhook.cli, "enumerate_srht", listing)
+    code, out, err = run_cli(
+        capsys, "trace", "--shape", f"1^{n}", "--type", f"[{n}]", "--root", f"{n},1"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"{what} must be at most {bound}" in err
+
+
 def test_trace_needs_a_source(capsys):
     code, _, err = run_cli(capsys, "trace")
     assert code == 1
@@ -411,6 +451,19 @@ def test_poset_sizes_beyond_the_bound_are_refused(capsys, tmp_path, command, tex
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert what in err and f"must be at most {bound}" in err
+
+
+def test_oversized_poset_file_is_refused_before_its_closure(capsys, tmp_path, monkeypatch):
+    def closure(*args):
+        raise AssertionError("built the closure of a file over the bound")
+
+    monkeypatch.setattr(Poset, "from_relations", closure)
+    path = tmp_path / "big.poset"
+    path.write_text(_LONG_CHAIN + "\n")
+    code, out, err = run_cli(capsys, "csf", "--poset", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"the number of elements must be at most {MAX_POSET_N}" in err
 
 
 @pytest.mark.parametrize(

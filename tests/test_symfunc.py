@@ -125,6 +125,8 @@ def test_count_matrix_equals_enumeration(n):
 
 @pytest.mark.parametrize("n", range(10))
 def test_signed_matrix_equals_signed_tilings(n):
+    # the lister and the counter share one strip step; the lister's own
+    # oracle, the walk search in test_tableaux, keeps this comparison honest
     m = inverse_kostka_matrix(n)
     for lam in m.order:
         signed = Counter()

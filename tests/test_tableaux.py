@@ -2,7 +2,9 @@
 
 The brute-force oracles here deliberately avoid the package's own walk
 construction: a hook is checked through its row intervals, and tilings are
-generated as raw set partitions.
+generated as raw set partitions.  The lister and K^-1 share one outer-rim
+recursion, so a second oracle, a search over every up/right walk, keeps
+the lister honest at sizes the set-partition oracle cannot reach.
 """
 
 import itertools
@@ -22,7 +24,7 @@ from rimhook import (
     enumerate_ssyt,
     render_hooks,
 )
-from rimhook.tableaux import enumerate_srht_all_types
+from rimhook.tableaux import _count_srht, enumerate_srht_all_types
 
 
 # ---------------------------------------------------------------- oracles
@@ -95,6 +97,40 @@ def brute_tilings(shape):
         if all(is_special_block(b) for b in part):
             found.add(frozenset(frozenset(b) for b in part))
     return found
+
+
+def oracle_all_srht(shape):
+    """Every special rim-hook tableau of `shape` by search: peel hooks at
+    the lowest uncovered column-1 cell, which must be the tail of the hook
+    covering it, trying every up/right walk from it (right first) inside
+    what is left.  Most branches never tile, so this is exponential in the
+    shape, but it assumes nothing about where a hook can end."""
+    out = []
+
+    def walks(walk, region):
+        yield tuple(walk)
+        i, j = walk[-1]
+        for nxt in ((i, j + 1), (i - 1, j)):
+            if nxt in region:
+                walk.append(nxt)
+                yield from walks(walk, region)
+                walk.pop()
+
+    def peel(region, acc):
+        if not region:
+            out.append(SpecialRimHookTableau(shape, tuple(acc)))
+            return
+        col1 = [c for c in region if c[1] == 1]
+        if not col1:
+            return  # dead branch: leftover cells unreachable by special hooks
+        for walk in walks([max(col1)], region):
+            hook = RimHook(walk)
+            acc.append(hook)
+            peel(region - hook.cell_set, acc)
+            acc.pop()
+
+    peel(frozenset(cells(shape)), [])
+    return out
 
 
 def brute_fillings(shape, content):
@@ -251,6 +287,21 @@ def test_tilings_match_set_partition_oracle(n):
         assert len(as_sets) == len(got)
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_tilings_match_the_walk_search_in_order(n):
+    for shape in enumerate_partitions(n):
+        expected = oracle_all_srht(shape)
+        assert enumerate_srht_all_types(shape) == expected, shape
+        assert _count_srht(shape) == len(expected), shape
+
+
+def test_the_staircase_lists_its_tilings():
+    # the walk search did not finish on this shape in minutes
+    got = enumerate_srht_all_types((12, 10, 8, 6, 4, 2))
+    assert len(got) == len(set(got)) == _count_srht((12, 10, 8, 6, 4, 2)) == 360
+    assert all(t.shape == (12, 10, 8, 6, 4, 2) for t in got)
+
+
 def test_tilings_of_the_square():
     got = enumerate_srht_all_types((2, 2))
     by_type = {t.type: t.sign for t in got}
@@ -261,6 +312,7 @@ def test_tilings_of_column_strip():
     # Stacked vertical hooks: one tiling per composition of n.
     got = enumerate_srht_all_types((1, 1, 1, 1))
     assert len(got) == 8
+    assert all(_count_srht((1,) * n) == 2 ** (n - 1) for n in range(1, 49))
     assert sum(t.sign for t in got if t.type == (2, 1, 1)) == -3
 
 
