@@ -34,7 +34,7 @@ from .posets import (
     stanley_stembridge_involution,
 )
 from .symfunc import (
-    _srht_type_counts,
+    _inverse_kostka_entry,
     evaluate_at_ones,
     inverse_kostka_matrix,
     kostka_matrix,
@@ -52,12 +52,15 @@ from .tableaux import (
 )
 
 
-# Admission bounds on n, each the largest n whose command finished in about
-# 10 s on a 2-core machine (Python 3.11): `kostka --n 19` took 8.1 s and
-# n = 20 took 13 s (the inverse is faster: `inv-kostka --n 22`, 2.4 s);
+# Admission bounds on n, each the largest n whose command, output included,
+# finished in about 10 s on a 2-core machine (Python 3.11): `kostka --n 22`
+# took 7.2 to 9.1 s, as text or JSON (349 MiB), and n = 23 took 15.5 s
+# (450 MiB); `kostka --n 19` takes 1.9 s (75 MiB), and the inverse is faster
+# (`inv-kostka --n 22`, 0.8 s as text and 1.4 s as JSON);
 # `verify --n 8` took 3.2 s and n = 9 took 17 s, since it still builds every
 # (tableau, standard filling) pair; `inv-kostka --shape 1^48`, among the
-# slowest shapes of its weight, took 7.2 s (243 MiB) and 1^49 took 10.1 s.
+# slowest shapes of its weight, takes 2.1 to 2.7 s (158 MiB) and 1^49 2.8 s, so
+# MAX_ENTRY_N, set when 1^48 took 7.2 s, is now below what the rule allows.
 # `kostka --shape --content` enumerates its entry's fillings, and content 1^n
 # is the slowest of its weight since K(λ,μ) ≤ f^λ: `[6,4,2,1,1]`, the largest
 # f^λ of weight 14 (69,498), took 3.6 s, and `[5,4,3,2,1]` (292,864 at
@@ -76,7 +79,7 @@ from .tableaux import (
 # the weight that recursion takes in `inv-kostka --shape` (counting 1^48
 # took 2 ms, 3^16 14 ms); a heavier shape with fewer tilings, such as
 # [12,10,8,6,4,2] with 360, is answered.
-MAX_MATRIX_N = 19
+MAX_MATRIX_N = 22
 MAX_VERIFY_N = 8
 MAX_ENTRY_N = 48
 _MAX_CONTENT_N = 14
@@ -185,7 +188,7 @@ def _cmd_inv_kostka(args) -> int:
         if sum(shape) != sum(typ):
             raise ValueError("shape and type have different weights")
         _admit_n(sum(shape), MAX_ENTRY_N, "the weight of --shape")
-        print(dict(_srht_type_counts(shape, {})).get(typ, 0))
+        print(_inverse_kostka_entry(shape, typ))
         return 0
     if args.n is None:
         raise ValueError("need --n, or --shape with --type")

@@ -3,9 +3,13 @@
 The tableau-count matrix is upper unitriangular in the canonical
 (reverse-lexicographic) order; its inverse is assembled entry-by-entry
 from signed special rim-hook tableaux, never by numerical inversion.
-Both matrices count their tableaux by recursion instead of building them.
-K is tested against the semistandard enumerator in `tableaux`; K⁻¹ shares
-its strip step with the tilings' lister there, which the tests check
+Both matrices count their tableaux by recursion instead of building them,
+and each build computes every fact once, in tables that live for that
+build only.  K reads one table of horizontal strips keyed by (shape, strip
+size), filled on first use.  K⁻¹ carries each hook-size type as one packed
+int (`_pack_type`), so adding a hook adds a constant instead of sorting a
+tuple.  K is tested against the semistandard enumerator in `tableaux`; K⁻¹
+shares its strip step with the tilings' lister there, which the tests check
 against a search over every up/right walk.
 Expansions carry exact integer coefficients in the e, s, or m basis.
 """
@@ -105,20 +109,25 @@ def _horizontal_strips(lam: Partition, size: int):
     yield from take(0, size)
 
 
-def _kostka_count(lam: Partition, mu: Partition, memo: dict) -> int:
+def _kostka_count(lam: Partition, mu: Partition, memo: dict, strips: dict) -> int:
     """Semistandard fillings of lam with content mu, counted by peeling the
-    horizontal strip that holds the largest entry, len(mu)."""
+    horizontal strip that holds the largest entry, len(mu).  `strips` maps
+    (shape, size) to that shape's strips of that size, listed on first use,
+    so each pair is listed once however many contents reach it."""
     if len(lam) > len(mu):
         return 0
     if not mu:
         return 1
     key = (lam, mu)
-    if key not in memo:
+    count = memo.get(key)
+    if count is None:
+        skey = (lam, mu[-1])
+        nus = strips.get(skey)
+        if nus is None:
+            nus = strips[skey] = tuple(_horizontal_strips(*skey))
         rest = mu[:-1]
-        memo[key] = sum(
-            _kostka_count(nu, rest, memo) for nu in _horizontal_strips(lam, mu[-1])
-        )
-    return memo[key]
+        count = memo[key] = sum(_kostka_count(nu, rest, memo, strips) for nu in nus)
+    return count
 
 
 @lru_cache(maxsize=None)
@@ -126,45 +135,67 @@ def kostka_matrix(n: int) -> PartitionMatrix:
     """Entry (shape, content): number of semistandard fillings."""
     order = enumerate_partitions(n)
     memo: dict = {}
+    strips: dict = {}
     rows = tuple(
-        tuple(_kostka_count(lam, mu, memo) for mu in order) for lam in order
+        tuple(_kostka_count(lam, mu, memo, strips) for mu in order) for lam in order
     )
     return PartitionMatrix(n, order, rows)
 
 
-def _srht_type_counts(shape: Partition, memo: dict) -> tuple[tuple[Partition, int], ...]:
+def _pack_type(typ: Partition, width: int) -> int:
+    """The hook-size type `typ` as one int: the multiplicity of part s in
+    the `width`-bit field at bit width * s."""
+    return sum(1 << (width * part) for part in typ)
+
+
+def _srht_type_counts(shape: Partition, memo: dict, width: int) -> tuple[tuple[int, int], ...]:
     """Signed count of the special rim-hook tableaux of `shape`, per type,
-    as (type, count) pairs with nonzero counts.
+    as (packed type, count) pairs with nonzero counts.
 
     Eğecioğlu–Remmel's recursion over `tableaux._outer_rim_strips`: the hook
     whose tail is the bottom column-1 cell ends at the end of row `top`,
-    has `size` cells and sign (-1)^(rows spanned - 1), and leaves nu.  The
-    caller owns `memo`, so no count outlives it.
+    has `size` cells and sign (-1)^(rows spanned - 1), and leaves nu.
+    A type is packed by `_pack_type`, so adding a hook of size s adds
+    1 << width * s.  No multiplicity exceeds the weight n of the build, so
+    with width = n.bit_length() no field carries into the next, and two
+    types are equal exactly when their packings are.  The caller owns
+    `memo`, which holds packings of one width, so no count outlives it.
     """
     if not shape:
-        return (((), 1),)
-    if shape not in memo:
+        return ((0, 1),)
+    counts = memo.get(shape)
+    if counts is None:
         ell = len(shape)
-        counts: dict[Partition, int] = {}
+        acc: dict[int, int] = {}
         for top, size, nu in _outer_rim_strips(shape):
+            step = 1 << (width * size)
             sign = -1 if (ell - 1 - top) % 2 else 1
-            for typ, c in _srht_type_counts(nu, memo):
-                key = tuple(sorted(typ + (size,), reverse=True))
-                counts[key] = counts.get(key, 0) + sign * c
-        memo[shape] = tuple((typ, c) for typ, c in counts.items() if c)
-    return memo[shape]
+            for typ, c in _srht_type_counts(nu, memo, width):
+                key = typ + step
+                acc[key] = acc.get(key, 0) + sign * c
+        counts = memo[shape] = tuple((typ, c) for typ, c in acc.items() if c)
+    return counts
+
+
+def _inverse_kostka_entry(shape: Partition, typ: Partition) -> int:
+    """K⁻¹(typ, shape) from the recursion for the column of `shape` alone,
+    with a memo that lives for this call; `typ` is packed, so nothing is
+    unpacked."""
+    width = sum(shape).bit_length()
+    return dict(_srht_type_counts(shape, {}, width)).get(_pack_type(typ, width), 0)
 
 
 @lru_cache(maxsize=None)
 def inverse_kostka_matrix(n: int) -> PartitionMatrix:
     """Entry (type, shape): signed count of special rim-hook tableaux."""
     order = enumerate_partitions(n)
-    idx = {p: i for i, p in enumerate(order)}
+    width = n.bit_length()
+    row_of = {_pack_type(p, width): i for i, p in enumerate(order)}
     grid = [[0] * len(order) for _ in order]
     memo: dict = {}
     for j, lam in enumerate(order):
-        for typ, c in _srht_type_counts(lam, memo):
-            grid[idx[typ]][j] = c
+        for typ, c in _srht_type_counts(lam, memo, width):
+            grid[row_of[typ]][j] = c
     return PartitionMatrix(n, order, tuple(tuple(r) for r in grid))
 
 

@@ -18,7 +18,6 @@ from typing import Iterator
 from .partitions import (
     Cell,
     Partition,
-    cells,
     check_partition,
     shape_of_cells,
 )
@@ -288,7 +287,7 @@ class SpecialRimHookTableau:
     hooks: tuple[RimHook, ...]
 
     def __post_init__(self):
-        check_partition(self.shape)
+        shape = check_partition(self.shape)
         covered: set[Cell] = set()
         total = 0
         for h in self.hooks:
@@ -296,9 +295,16 @@ class SpecialRimHookTableau:
                 raise ValueError(f"hook does not touch column 1: {h.walk}")
             covered |= h.cell_set
             total += len(h)
-        # the weight test comes first, so a huge stated shape is refused
-        # before its cells are built
-        if total != sum(self.shape) or covered != cells(self.shape):
+        # the hooks tile the diagram exactly when they have its weight, do
+        # not overlap, and have no cell outside it; a hook's cells have row
+        # and column at least 1, so only the far edges need testing, and
+        # the diagram's cells are never built
+        ell = len(shape)
+        if (
+            total != sum(shape)
+            or len(covered) != total
+            or any(i > ell or j > shape[i - 1] for i, j in covered)
+        ):
             raise ValueError("hooks do not tile the shape")
         tails = [h.tail[0] for h in self.hooks]
         if tails != sorted(tails, reverse=True):

@@ -93,6 +93,21 @@ def test_inv_kostka_entries_match_the_enumerator(capsys):
                 assert int(out) == sum(t.sign for t in enumerate_srht(shape, typ)), (shape, typ)
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_inv_kostka_entries_match_the_matrix_across_the_field_width(capsys, n):
+    # a type packs each multiplicity into n.bit_length() bits: 1^7 fills a
+    # 3-bit field, and n = 8 is the first weight that needs 4 bits
+    m = inverse_kostka_matrix(n)
+    for shape in m.order:
+        for typ in m.order:
+            code, out, err = run_cli(
+                capsys, "inv-kostka", "--shape", format_partition(shape),
+                "--type", format_partition(typ),
+            )
+            assert code == 0 and err == ""
+            assert int(out) == m.entry(typ, shape), (shape, typ)
+
+
 def test_inv_kostka_entry_rejects_mismatched_weights(capsys):
     code, out, err = run_cli(capsys, "inv-kostka", "--shape", "[3,1]", "--type", "[2,1]")
     assert code == 1 and out == ""

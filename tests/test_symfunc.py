@@ -29,6 +29,7 @@ from rimhook import (
     schur_to_e,
     verify_identities,
 )
+from rimhook.symfunc import _pack_type
 
 
 # ---------------------------------------------------------------- oracles
@@ -143,6 +144,27 @@ def test_signed_matrix_13_matches_the_enumerator_hash():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "1f74d8d3780ebacac8c75215947c01a209acd9a53ab270dfbd50a28da41b85f8"
     )
+
+
+def test_count_matrix_13_matches_the_pinned_hash():
+    # the sha256 that K(13) had before the builder kept a table of strips
+    text = json.dumps(kostka_matrix(13).to_json(), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f102de10852e3cfbc3e7bfe5fd7c25ee6a88cb70e462e146228a54fa1a969d36"
+    )
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), 48])
+def test_packed_types_keep_each_multiplicity_in_its_own_field(n):
+    # no multiplicity exceeds n < 2^width, so no field carries into the next
+    width = n.bit_length()
+    mask = (1 << width) - 1
+    shapes = enumerate_partitions(n) if n <= 16 else [(1,) * n, (n,), (24, 12, 6, 3, 2, 1)]
+    for typ in shapes:
+        packed = _pack_type(typ, width)
+        fields = {s: (packed >> (width * s)) & mask for s in range(1, n + 1)}
+        assert fields == {s: typ.count(s) for s in range(1, n + 1)}, typ
+        assert packed >> (width * (n + 1)) == 0
 
 
 def test_entry_orientation():

@@ -349,6 +349,59 @@ def test_tableau_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "shape, walks",
+    [
+        ((2, 1), [((2, 1), (1, 1)), ((1, 1),)]),        # overlaps itself
+        ((2, 2), [((2, 1),), ((1, 1), (1, 2), (1, 3))]),  # past the end of a row
+        ((2,), [((2, 1), (1, 1))]),                     # below the last row
+    ],
+)
+def test_tableau_of_the_right_weight_that_is_no_tiling_is_refused(shape, walks):
+    hooks = tuple(RimHook(w) for w in walks)
+    assert sum(map(len, hooks)) == sum(shape)
+    with pytest.raises(ValueError, match="hooks do not tile the shape"):
+        SpecialRimHookTableau(shape, hooks)
+
+
+def test_tableau_validation_accepts_exactly_the_tilings():
+    # every canonically ordered tuple of at most three special hooks inside
+    # a 3x3 box, against every shape of weight at most 6: the constructor
+    # accepts exactly the tuples whose cells are the diagram's, once each
+    box_hooks = []
+
+    def grow(walk):
+        box_hooks.append(RimHook(tuple(walk)))
+        i, j = walk[-1]
+        for step in ((i - 1, j), (i, j + 1)):
+            if step[0] >= 1 and step[1] <= 3:
+                grow(walk + [step])
+
+    for row in (1, 2, 3):
+        grow([(row, 1)])
+    tuples = [()]
+    for size in (1, 2, 3):
+        tuples += [
+            t for t in itertools.product(box_hooks, repeat=size)
+            if all(a.tail[0] > b.tail[0] for a, b in zip(t, t[1:]))
+        ]
+    shapes = [lam for n in range(7) for lam in enumerate_partitions(n)]
+    accepted = 0
+    for hooks in tuples:
+        cover = [c for h in hooks for c in h.walk]
+        for shape in shapes:
+            tiles = len(cover) == len(set(cover)) and set(cover) == cells(shape)
+            try:
+                SpecialRimHookTableau(shape, hooks)
+            except ValueError:
+                assert not tiles, (shape, hooks)
+            else:
+                assert tiles, (shape, hooks)
+                accepted += 1
+    in_box = [lam for lam in shapes if max(lam, default=0) <= 3 and len(lam) <= 3]
+    assert accepted == sum(len(enumerate_srht_all_types(lam)) for lam in in_box)
+
+
 def test_tableau_accessors_and_json():
     t = enumerate_srht((2, 2), (2, 2))[0]
     assert t.type == (2, 2)
