@@ -58,9 +58,11 @@ from .tableaux import (
 # (450 MiB); `kostka --n 19` takes 1.9 s (75 MiB), and the inverse is faster
 # (`inv-kostka --n 22`, 0.8 s as text and 1.4 s as JSON);
 # `verify --n 8` took 3.2 s and n = 9 took 17 s, since it still builds every
-# (tableau, standard filling) pair; `inv-kostka --shape 1^48`, among the
-# slowest shapes of its weight, takes 2.1 to 2.7 s (158 MiB) and 1^49 2.8 s, so
-# MAX_ENTRY_N, set when 1^48 took 7.2 s, is now below what the rule allows.
+# (tableau, standard filling) pair; `inv-kostka --shape --type` counts one
+# column of K^-1, and the shapes with parts of at most 3, mostly 2, are the
+# slowest of their weight: at weight 50, 2^25 took 7.7 to 8.7 s (434 MiB)
+# and 1^50 only 3.1 to 4.6 s; [3,2^24], at 51, took 9.2 to 10.2 s
+# (509 MiB), and 2^26, at 52, 12.4 s (610 MiB).
 # `kostka --shape --content` enumerates its entry's fillings, and content 1^n
 # is the slowest of its weight since K(λ,μ) ≤ f^λ: `[6,4,2,1,1]`, the largest
 # f^λ of weight 14 (69,498), took 3.6 s, and `[5,4,3,2,1]` (292,864 at
@@ -76,12 +78,12 @@ from .tableaux import (
 # most of its weight, 2^(n-1): `trace --shape 1^18` took 7.8 s (74 MiB) and
 # 1^19 took 17 s (133 MiB).  So it lists at most as many as 1^MAX_TRACE_N
 # has, counted first by the strip recursion at weight at most MAX_ENTRY_N,
-# the weight that recursion takes in `inv-kostka --shape` (counting 1^48
-# took 2 ms, 3^16 14 ms); a heavier shape with fewer tilings, such as
-# [12,10,8,6,4,2] with 360, is answered.
+# the weight that recursion takes in `inv-kostka --shape` (counting 1^50
+# took 3 ms, 2^25 15 ms and [3^16,2] 21 ms); a heavier shape with fewer
+# tilings, such as [12,10,8,6,4,2] with 360, is answered.
 MAX_MATRIX_N = 22
 MAX_VERIFY_N = 8
-MAX_ENTRY_N = 48
+MAX_ENTRY_N = 50
 _MAX_CONTENT_N = 14
 MAX_CORPUS_N = 8
 MAX_POSET_N = 12

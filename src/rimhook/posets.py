@@ -5,17 +5,20 @@ The expansion pipeline: count order-respecting fillings per shape, convert
 through the signed hook-count matrix to the elementary basis, and — for
 orders of height at most two — certify nonnegativity by an explicit
 matching whose fixed points are counted by the coefficients.  The matching
-is a product of two maps: a walk that rewrites the tiling and sees the
-tiling alone, and a move of one label of the filling.  So the census checks
-each certificate once per tiling (one walk per tiling and direction) or
-once per filling (one move per filling and direction), which for a product
-map says the same as checking every pair; `stanley_stembridge_involution`
-lists where each check sits.
+joins each shape nu with at most two rows to one source shape,
+(nu1 - 1, nu2 + 1), and is a product of two maps: a walk that rewrites the
+tiling and sees the tiling alone, and a move of one label of the filling.
+So the census takes one shape pair at a time and checks each certificate
+once per tiling (one walk per tiling and direction) or once per filling
+(one move per filling, looked up among the fillings of nu it has already
+listed), which for a product map says the same as checking every pair;
+`stanley_stembridge_involution` lists where each check sits.
 
 Fillings are counted column by column and proper colorings from the
 partitions of the order into chains; neither is built.  The enumerators
 (`enumerate_p_tableaux`, on bitmasks, and deletion–contraction) stay for
-the census, which needs real fillings, and as oracles for the tests.
+the census, which needs real fillings, and as oracles for the tests;
+`is_p_tableau`, the filling rule read off the definition, is one more.
 
 Elements are labels at the boundary (`Poset.less`, fillings, JSON); inside,
 every order algorithm reads one set of bit masks, `Poset._order`, with the
@@ -171,18 +174,23 @@ def parse_poset(text: str) -> Poset:
     return Poset.from_relations(*read_poset(text))
 
 
-def height(poset: Poset) -> int:
-    """Number of elements in a longest chain: the number of times the
-    minimal elements can be peeled off before none are left."""
-    if not poset.elements:
-        raise ValueError("empty poset has no height")
-    _, below, _ = poset._order
-    left = (1 << len(below)) - 1
+def _peel(below, left: int, cap: int) -> int:
+    """How many times the minimal elements of `left` (a mask) can be peeled
+    off before none are left, stopping at `cap`: the length of a longest
+    chain inside `left`, or `cap` if that is less."""
     rounds = 0
-    while left:
+    while left and rounds < cap:
         left = sum(1 << i for i in _bits(left) if below[i] & left)
         rounds += 1
     return rounds
+
+
+def height(poset: Poset) -> int:
+    """Number of elements in a longest chain."""
+    if not poset.elements:
+        raise ValueError("empty poset has no height")
+    _, below, _ = poset._order
+    return _peel(below, (1 << len(below)) - 1, len(below))
 
 
 def _chains(above, size: int) -> list[int]:
@@ -204,19 +212,20 @@ def _chains(above, size: int) -> list[int]:
 
 def is_ab_free(poset: Poset, a: int, b: int) -> bool:
     """No induced copy of an a-chain next to a completely incomparable
-    b-chain: every b-chain meets the comparability mask of every a-chain
-    (the a-chain together with everything below or above one of its
-    elements)."""
+    b-chain.  Only the chains of the shorter size are listed: for each, the
+    elements outside its comparability mask (the chain together with
+    everything below or above one of its elements) must not hold a chain
+    of the longer size, which a peel capped at that many rounds decides."""
     if a < 1 or b < 1:
         raise ValueError("chain sizes must be positive")
     _, below, above = poset._order
-    a_chains = _chains(above, a)
-    b_chains = _chains(above, b) if b != a else a_chains
-    for ca in a_chains:
-        reach = ca
-        for i in _bits(ca):
+    short, tall = sorted((a, b))
+    full = (1 << len(below)) - 1
+    for chain in _chains(above, short):
+        reach = chain
+        for i in _bits(chain):
             reach |= below[i] | above[i]
-        if any(not cb & reach for cb in b_chains):
+        if _peel(below, full ^ reach, tall) == tall:
             return False
     return True
 
@@ -582,120 +591,101 @@ def _walk_partner(s: SpecialRimHookTableau, root, end) -> SpecialRimHookTableau:
     return SpecialRimHookTableau.from_hooks(final.hooks)
 
 
+def _counterexample(nu: Partition, rows: Rows, predicted: bool) -> RuntimeError:
+    return RuntimeError(
+        f"image characterization counterexample: shape {nu}, "
+        f"rows {rows}, predicted {predicted}, matched {not predicted}"
+    )
+
+
 def stanley_stembridge_involution(poset: Poset) -> SSCensus:
     """Match every negative pair with a positive one; the leftover positive
     pairs, counted by hook-size type, are the elementary coefficients.
 
-    A negative pair of shape lam is pushed to the positive pair one column
-    longer on top: the walk rooted at (2, lam2) moves the root to
-    (1, lam1 + 1), and the last row-2 entry follows it.  The walk sees only
-    the tiling and the move only the filling, so the push is a product of a
-    tiling map and a filling map, and each certificate is checked once per
-    tiling or once per filling:
+    A push joins one pair of shapes: a negative pair of shape
+    lam = (nu1 - 1, nu2 + 1) goes to the positive pair of shape nu one column
+    longer on top.  The walk rooted at (2, lam2) moves the root to (1, nu1),
+    and the last row-2 entry follows it.  The walk sees only the tiling and
+    the move only the filling, so the push is a product of a tiling map and
+    a filling map.  The census takes the shapes nu with at most two rows one
+    at a time, those with no fillings too, each with its one source lam, and
+    checks each certificate once per tiling or once per filling:
 
-    - "moved entry broke a filling": each filling of a shape with a negative
-      tiling is moved once and tested with `is_p_tableau`.
-    - Injectivity: no two negative tilings share a walk partner, and no two
-      fillings of a shape share a moved filling.  Two negative pairs share
-      an image exactly when their tilings share a partner and their
-      fillings a moved filling; moved fillings of different shapes differ,
-      and so do partners, since a walk that ends where it must leaves the
-      partner the shape of the moved filling.
-    - Image test: a positive pair of shape nu is predicted to be hit exactly
-      when nu has a row-1 overhang of at least 2 and the entry over the end
-      of row 2 is above the last row-1 entry in the order.  The prediction
-      reads only the filling, and (t, rows) is hit exactly when t is a walk
-      partner and rows a moved filling of its shape.  So for a partner the
-      predicted fillings must be the moved ones, and for any other positive
-      tiling there must be none.  A failure is a counterexample to the
-      characterization and is raised, not patched.
+    - "moved entry broke a filling": every filling of lam, moved, must be in
+      the list of fillings of nu, so every image is a census pair.
+    - Injectivity: the fillings of lam move to distinct fillings, and the
+      negative tilings of lam have distinct walk partners.
+    - Image test: a filling of nu is predicted to be hit exactly when nu has
+      a row-1 overhang of at least 2 and the entry over the end of row 2 is
+      above the last row-1 entry in the order.  The moved fillings must be
+      exactly the predicted ones, and if any filling was moved into nu,
+      every positive tiling of nu must be a walk partner.  A failure is a
+      counterexample to the characterization and is raised, not patched.
     - Self-inverse: the walk rooted at (1, nu1) of each partner must return
-      its negative tiling, and moving each hit filling's last row-1 entry
-      back must give a filling that passes `is_p_tableau` and is the one
-      that was moved.
+      the tiling it came from.  Moving the last row-1 entry of a moved
+      filling back to row 2 undoes the move for every filling, so that half
+      cannot fail and is not checked.
 
     For a product map these checks say the same as checking every pair.
     So a census runs one walk per tiling and direction and one move per
-    filling and direction; only the lists of pairs it returns grow with
-    tilings times fillings.
+    filling; only the lists of pairs it returns grow with tilings times
+    fillings.
     """
     if not poset.elements:
         raise ValueError("empty poset")
     if height(poset) > 2:
         raise ValueError("order height must be at most 2")
-    n = len(poset.elements)
-
-    # every 2-row shape that has fillings, with its tilings and fillings
-    shapes: list[tuple[Partition, list[SpecialRimHookTableau], list[Rows]]] = []
-    for lam in enumerate_partitions(n):
-        if len(lam) > 2:
-            continue
-        fillings = enumerate_p_tableaux(poset, lam)
-        if fillings:
-            shapes.append((lam, enumerate_srht_all_types(lam), fillings))
-
+    # every shape with at most two rows, with its tilings and fillings; each
+    # is followed by (nu1 - 1, nu2 + 1), the source of its pushes, if any
+    shapes = [
+        (lam, enumerate_srht_all_types(lam), enumerate_p_tableaux(poset, lam))
+        for lam in enumerate_partitions(len(poset.elements))
+        if len(lam) <= 2
+    ]
     matched: list[tuple[PairST, PairST]] = []
-    source: dict[SpecialRimHookTableau, SpecialRimHookTableau] = {}  # partner -> tiling
-    moved_from: dict[Partition, dict[Rows, Rows]] = {}  # lam -> moved filling -> filling
-    for lam, tilings, fillings in shapes:
-        negatives = [s for s in tilings if s.sign == -1]
-        if not negatives:
-            continue
-        moved: dict[Rows, Rows] = {}
-        for rows in fillings:
-            row2 = rows[1][:-1]
-            rows2 = (rows[0] + (rows[1][-1],),) + ((row2,) if row2 else ())
-            if not is_p_tableau(poset, rows2):
-                raise RuntimeError(f"moved entry broke a filling on {lam}: {rows}")
-            if rows2 in moved:
-                raise RuntimeError("two negative pairs map to the same positive pair")
-            moved[rows2] = rows
-        moved_from[lam] = moved
-        for s in negatives:
-            pushed = _walk_partner(s, (2, lam[1]), (1, lam[0] + 1))
-            if pushed in source:
-                raise RuntimeError("two negative pairs map to the same positive pair")
-            source[pushed] = s
-            matched.extend(((s, rows), (pushed, rows2)) for rows2, rows in moved.items())
-
     fixed: list[PairST] = []
     coeffs: dict[Partition, int] = {}
-    for nu, tilings, fillings in shapes:
+    for (nu, tilings, fillings), (lam, sources, moving) in zip(
+        shapes, shapes[1:] + [((), [], [])]
+    ):
         nu2 = nu[1] if len(nu) > 1 else 0
-        predicted = [
-            nu[0] > nu2 + 1 and poset.lt(rows[0][nu2], rows[0][-1]) for rows in fillings
-        ]
-        unhit = [rows for rows, p in zip(fillings, predicted) if not p]
-        checked: set[Partition | None] = set()  # source shapes; None: no walk's partner
+        valid = set(fillings)
+        moved: dict[Rows, Rows] = {}  # moved filling -> filling of lam
+        for rows in moving:
+            row2 = rows[1][:-1]
+            rows2 = (rows[0] + (rows[1][-1],),) + ((row2,) if row2 else ())
+            if rows2 not in valid:
+                raise RuntimeError(f"moved entry broke a filling on {lam}: {rows}")
+            moved[rows2] = rows
+        if len(moved) < len(moving):
+            raise RuntimeError("two negative pairs map to the same positive pair")
+        unhit = []
+        for rows in fillings:
+            p = nu[0] > nu2 + 1 and poset.lt(rows[0][nu2], rows[0][-1])
+            if p != (rows in moved):
+                raise _counterexample(nu, rows, p)
+            if not p:
+                unhit.append(rows)
+
+        partners: dict[SpecialRimHookTableau, SpecialRimHookTableau] = {}
+        for s in sources if moved else ():
+            if s.sign == -1:
+                pushed = _walk_partner(s, (2, lam[1]), (1, nu[0]))
+                if pushed in partners:
+                    raise RuntimeError("two negative pairs map to the same positive pair")
+                partners[pushed] = s
+                matched.extend(((s, rows), (pushed, rows2)) for rows2, rows in moved.items())
+        for t, s in partners.items():
+            if _walk_partner(t, (1, nu[0]), (2, nu2 + 1)) != s:
+                raise RuntimeError("matching is not self-inverse")
         for t in tilings:
             if t.sign == -1:
                 continue
-            s = source.get(t)
-            lam = None if s is None else s.shape
-            if lam not in checked:
-                hits = moved_from.get(lam, {})
-                for rows, p in zip(fillings, predicted):
-                    if p != (rows in hits):
-                        raise RuntimeError(
-                            f"image characterization counterexample: shape {nu}, "
-                            f"rows {rows}, predicted {p}, matched {not p}"
-                        )
-                for rows, before in hits.items():
-                    back = (rows[0][:-1], (rows[1] if len(rows) > 1 else ()) + (rows[0][-1],))
-                    if not is_p_tableau(poset, back):
-                        raise RuntimeError(f"moved entry broke a filling on {nu}: {rows}")
-                    if back != before:
-                        raise RuntimeError("matching is not self-inverse")
-                checked.add(lam)
-            if s is None:
-                rest = fillings
-            else:
-                if _walk_partner(t, (1, nu[0]), (2, nu2 + 1)) != s:
-                    raise RuntimeError("matching is not self-inverse")
-                rest = unhit
-            fixed.extend((t, rows) for rows in rest)
-            if rest:
-                coeffs[t.type] = coeffs.get(t.type, 0) + len(rest)
+            if moved and t not in partners:
+                raise _counterexample(nu, next(iter(moved)), True)
+            fixed.extend((t, rows) for rows in unhit)
+            if unhit:
+                coeffs[t.type] = coeffs.get(t.type, 0) + len(unhit)
 
     total = sum(len(tilings) * len(fillings) for _, tilings, fillings in shapes)
     return SSCensus(total, tuple(matched), tuple(fixed), coeffs)

@@ -253,11 +253,11 @@ def verify_identities(n: int) -> VerificationReport:
     for mu in enumerate_partitions(n):
         pairs = enumerate_standard_pairs(mu)
         signed = sum(s.sign for s, _ in pairs)
+        cycles = fixed = 0  # as found: partners met, and pairs that map to themselves
         if mu == ones:
-            fixed, cycles = len(pairs), 0
+            fixed = len(pairs)
             consistent &= len(pairs) == 1 and signed == 1
         else:
-            fixed, cycles = 0, len(pairs) // 2
             seen = set()
             for s, t in pairs:
                 key = (s, t.rows)
@@ -265,7 +265,10 @@ def verify_identities(n: int) -> VerificationReport:
                     continue
                 s2, t2 = outer_involution(s, t)
                 s3, t3 = outer_involution(s2, t2)
-                if (s3, t3) != (s, t) or s2.sign != -s.sign or (s2, t2) == (s, t):
+                loop = (s2, t2) == (s, t)
+                fixed += loop
+                cycles += not loop
+                if loop or (s3, t3) != (s, t) or s2.sign != -s.sign:
                     consistent = False
                 seen.add(key)
                 seen.add((s2, t2.rows))

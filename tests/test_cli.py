@@ -134,7 +134,7 @@ def test_inv_kostka_entry_keeps_nothing_after_the_request(capsys):
 
 
 def test_inv_kostka_entry_beyond_the_bound_is_refused(capsys):
-    # 1^n is among the slowest shapes of its weight; refused before any work
+    # refused before any work
     for n in (MAX_ENTRY_N + 1, 5000):
         code, out, err = run_cli(capsys, "inv-kostka", "--shape", f"1^{n}", "--type", f"1^{n}")
         assert code == 1 and out == ""

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -260,6 +261,16 @@ def test_poset_validation_matches_the_definition(data):
 # ----------------------------------------------------- induced freeness
 
 
+def test_ab_freeness_of_a_long_chain_is_fast():
+    # only the chains of the shorter size are listed; a chain holds no
+    # (3+1), and listing its 3-chains took 25 s at 200 elements
+    labels = [f"x{i:03d}" for i in range(200)]
+    long_chain = Poset.from_relations(labels, zip(labels, labels[1:]))
+    start = time.perf_counter()
+    assert is_ab_free(long_chain, 3, 1) and is_ab_free(long_chain, 1, 3)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_ab_freeness(npo):
     assert is_ab_free(npo, 3, 1)
     assert is_ab_free(npo, 2, 2)
@@ -505,17 +516,16 @@ def test_census_accounts_for_every_pair(n):
 
 
 def test_census_raises_on_a_shared_partner(npo, monkeypatch):
-    walk = posets._walk_partner
-    first = []
+    # a two-row shape has one negative tiling, and pushes join one pair of
+    # shapes; so the source shape (3,1) lists its negative tiling twice, and
+    # both copies walk to the one partner
+    tilings = posets.enumerate_srht_all_types
 
-    def one_partner(s, root, end):
-        partner = walk(s, root, end)
-        if root[0] == 2:  # a push: every negative tiling gets the first partner
-            first.append(partner)
-            return first[0]
-        return partner
+    def doubled(shape):
+        out = tilings(shape)
+        return out + [s for s in out if s.sign == -1] if shape == (3, 1) else out
 
-    monkeypatch.setattr(posets, "_walk_partner", one_partner)
+    monkeypatch.setattr(posets, "enumerate_srht_all_types", doubled)
     with pytest.raises(RuntimeError, match="two negative pairs map to the same"):
         stanley_stembridge_involution(npo)
 
@@ -531,9 +541,46 @@ def test_census_raises_when_the_pull_misses(npo, monkeypatch):
         stanley_stembridge_involution(npo)
 
 
+def test_census_raises_when_a_walk_ends_astray(npo, monkeypatch):
+    # a walk that never moves leaves the root where it started
+    monkeypatch.setattr(posets, "inner_involution", lambda state: (state, []))
+    with pytest.raises(RuntimeError, match=r"walk from \(3, 1\) ended at \(2, 1\), not row 1"):
+        stanley_stembridge_involution(npo)
+
+
 def test_census_raises_when_a_moved_filling_breaks(npo, monkeypatch):
-    monkeypatch.setattr(posets, "is_p_tableau", lambda poset, rows: False)
+    # a filling that a move reaches goes missing from its shape's list
+    (t, reached) = stanley_stembridge_involution(npo).matched[0][1]
+    listed = posets.enumerate_p_tableaux
+
+    def dropping(poset, shape):
+        return [rows for rows in listed(poset, shape) if (shape, rows) != (t.shape, reached)]
+
+    monkeypatch.setattr(posets, "enumerate_p_tableaux", dropping)
     with pytest.raises(RuntimeError, match="moved entry broke a filling"):
+        stanley_stembridge_involution(npo)
+
+
+def test_census_raises_on_an_image_counterexample(npo, monkeypatch):
+    # no filling is predicted to be hit, yet the pushes hit some
+    monkeypatch.setattr(Poset, "lt", lambda self, x, y: False)
+    with pytest.raises(RuntimeError, match="image characterization counterexample"):
+        stanley_stembridge_involution(npo)
+
+
+def test_census_raises_on_a_positive_tiling_no_walk_reaches(npo, monkeypatch):
+    # one negative tiling of the source shape (3,1) goes missing, so one
+    # positive tiling of [4] is nobody's partner while fillings move into it
+    tilings = posets.enumerate_srht_all_types
+
+    def dropping(shape):
+        out = tilings(shape)
+        if shape == (3, 1):
+            out.remove(next(s for s in out if s.sign == -1))
+        return out
+
+    monkeypatch.setattr(posets, "enumerate_srht_all_types", dropping)
+    with pytest.raises(RuntimeError, match="image characterization counterexample"):
         stanley_stembridge_involution(npo)
 
 

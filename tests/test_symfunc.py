@@ -29,6 +29,7 @@ from rimhook import (
     schur_to_e,
     verify_identities,
 )
+from rimhook import symfunc
 from rimhook.symfunc import _pack_type
 
 
@@ -209,6 +210,17 @@ def test_verify_identities_census_consistency(n):
         "involution_consistent",
         "last_column",
     }
+
+
+def test_verify_reports_the_cycles_and_fixed_points_it_found(monkeypatch):
+    # with the identity in place of the involution every pair is its own
+    # partner, and the report must say so instead of assuming 2-cycles
+    monkeypatch.setattr(symfunc, "outer_involution", lambda s, t: (s, t))
+    report = verify_identities(4)
+    assert not report.involution_consistent
+    for c in report.last_column.values():
+        assert c.fixed == c.pairs > 0
+        assert c.cycles == 0
 
 
 # --------------------------------------------------------------- expansion
