@@ -11,7 +11,6 @@ import functools
 import json
 import random
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .involution import (
@@ -56,7 +55,8 @@ from .tableaux import (
 # finished in about 10 s on a 2-core machine (Python 3.11): `kostka --n 22`
 # took 7.2 to 9.1 s, as text or JSON (349 MiB), and n = 23 took 15.5 s
 # (450 MiB); `kostka --n 19` takes 1.9 s (75 MiB), and the inverse is faster
-# (`inv-kostka --n 22`, 0.8 s as text and 1.4 s as JSON);
+# (`inv-kostka --n 22`, 1.1 to 1.2 s as text and 1.3 to 1.4 s as JSON,
+# 109 MiB);
 # `verify --n 8` took 3.2 s and n = 9 took 17 s, since it still builds every
 # (tableau, standard filling) pair; `inv-kostka --shape --type` counts one
 # column of K^-1, and the shapes with parts of at most 3, mostly 2, are the
@@ -72,8 +72,10 @@ from .tableaux import (
 # `csf` counts fillings column by column, and chains are its slowest orders:
 # a 12-chain took 2.5 s and a 13-chain 12.3 s (16 did not finish in 120 s).
 # At height ≤ 2 `csf` and `ss-involution` build the census, whose fillings
-# grow like n!: a 9-element antichain took 1.9 s (114 MiB) in either
-# command, and 10 elements took 21 s and 990 MiB.
+# grow like n!.  On a 9-element antichain (362,880 pairs) `csf` took 2.2 to
+# 2.8 s as text and 8.3 to 8.5 s as JSON, and `ss-involution` 4.0 to 4.4 s
+# as text and 7.7 to 8.2 s as JSON; text peaked at 125 MiB and JSON at
+# 353 MiB (49 MB printed).  10 elements took 21 s and 990 MiB as text.
 # `trace --shape --type` lists every tiling of its shape, and 1^n has the
 # most of its weight, 2^(n-1): `trace --shape 1^18` took 7.8 s (74 MiB) and
 # 1^19 took 17 s (133 MiB).  So it lists at most as many as 1^MAX_TRACE_N
@@ -117,56 +119,11 @@ def _load_poset(path: str) -> Poset:
     return poset
 
 
-def _indented_json(obj) -> str:
-    """Exactly `json.dumps(obj, indent=2)` for the types payloads hold: dicts
-    with str keys, lists, tuples, str, int, True, False and None.  Anything
-    else raises TypeError.  CPython's `indent=2` path is its pure-Python
-    encoder; this one encodes a list object met twice at one depth once,
-    since `SSCensus.to_json` shares each tiling's lists among its fillings.
-    Ids key the memo safely: `obj` keeps every list alive during the call."""
-    memo: dict[tuple[int, int], str] = {}
-
-    def encode(o, depth: int) -> str:
-        if isinstance(o, str):
-            return encode_basestring_ascii(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, (list, tuple)):
-            key = (id(o), depth)
-            text = memo.get(key)
-            if text is None:
-                if o:
-                    sep = "\n" + "  " * (depth + 1)
-                    items = [encode(v, depth + 1) for v in o]
-                    text = "[" + sep + ("," + sep).join(items) + "\n" + "  " * depth + "]"
-                else:
-                    text = "[]"
-                memo[key] = text
-            return text
-        if isinstance(o, dict):
-            if not o:
-                return "{}"
-            sep = "\n" + "  " * (depth + 1)
-            items = [  # a key that is not a str raises TypeError here
-                encode_basestring_ascii(k) + ": " + encode(v, depth + 1) for k, v in o.items()
-            ]
-            return "{" + sep + ("," + sep).join(items) + "\n" + "  " * depth + "}"
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-    return encode(obj, 0)
-
-
 def _emit(payload_fn, fmt: str, text_fn):
-    """Print `payload_fn()` as JSON or `text_fn()` as text; only the chosen
-    one is built."""
+    """Print `payload_fn()` as JSON on one line, with no spaces between
+    items, or `text_fn()` as text; only the chosen one is built."""
     if fmt == "json":
-        print(_indented_json(payload_fn()))
+        print(json.dumps(payload_fn(), separators=(",", ":")))
     else:
         print(text_fn())
 

@@ -61,27 +61,12 @@ def num_partitions(n: int) -> int:
     return len(enumerate_partitions(n))
 
 
-def revlex_precedes(a, b) -> bool:
-    """True when a comes strictly before b in reverse-lexicographic order."""
-    a = check_partition(a)
-    b = check_partition(b)
-    if sum(a) != sum(b):
-        raise ValueError("partitions of different weights are not compared")
-    width = max(len(a), len(b))
-    return a + (0,) * (width - len(a)) > b + (0,) * (width - len(b))
-
-
 def conjugate(p) -> Partition:
     """Transpose the Ferrers diagram: (3,2,2,1,1) -> (5,3,1)."""
     p = check_partition(p)
     if not p:
         return ()
     return tuple(sum(1 for part in p if part >= j) for j in range(1, p[0] + 1))
-
-
-def cells(p) -> frozenset[Cell]:
-    p = check_partition(p)
-    return frozenset((i, j) for i, row in enumerate(p, 1) for j in range(1, row + 1))
 
 
 def shape_of_cells(cs) -> Partition:
@@ -158,12 +143,3 @@ def parse_partition(text: str) -> Partition:
 def format_partition(p) -> str:
     return "[" + ",".join(str(x) for x in check_partition(p)) + "]"
 
-
-def format_multiplicity(p) -> str:
-    """Ascending multiplicity form: (3,2,2,1,1) -> "1^2 2^2 3"."""
-    p = check_partition(p)
-    toks = []
-    for part in sorted(set(p)):
-        m = p.count(part)
-        toks.append(f"{part}^{m}" if m > 1 else str(part))
-    return " ".join(toks)

@@ -553,8 +553,8 @@ class SSCensus:
     coefficients: dict[Partition, int]
 
     def to_json(self) -> dict:
-        """Pairs that share a tiling share its `shape` and `hooks` lists:
-        each tiling is serialised once, not once per filling."""
+        """Each tiling's `shape` and `hooks` lists are built once, and every
+        pair that holds the tiling shares them."""
         tilings: dict[int, tuple[list, list]] = {}  # by id: the census holds them
 
         def combined(pair: PairST) -> dict:

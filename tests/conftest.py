@@ -12,6 +12,11 @@ def load_fixture(name: str):
     return json.loads((FIXTURES / name).read_text())
 
 
+def cells(p) -> frozenset:
+    """The (row, col) cells of the Ferrers diagram of `p`, 1-based."""
+    return frozenset((i, j) for i, row in enumerate(p, 1) for j in range(1, row + 1))
+
+
 def partitions_of(n: int):
     return st.sampled_from(list(enumerate_partitions(n)))
 

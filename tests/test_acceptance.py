@@ -13,7 +13,7 @@ from rimhook.involution import (
     outer_involution,
     trace_to_json,
 )
-from rimhook.partitions import cells, enumerate_partitions, num_partitions
+from rimhook.partitions import enumerate_partitions, num_partitions
 from rimhook.posets import (
     Poset,
     chromatic_polynomial_value,
@@ -35,7 +35,7 @@ from rimhook.tableaux import (
     enumerate_srht_all_types,
 )
 
-from conftest import FIXTURES, load_fixture
+from conftest import FIXTURES, cells, load_fixture
 
 
 def syt_count_by_hook_lengths(shape) -> int:

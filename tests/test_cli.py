@@ -25,13 +25,12 @@ from rimhook.cli import (
     MAX_TRACE_N,
     MAX_VERIFY_N,
     _MAX_CONTENT_N,
-    _indented_json,
     build_parser,
     main,
 )
 from rimhook.involution import RootedTableau, inner_involution, trace_to_json
 from rimhook.partitions import enumerate_partitions, format_partition, parse_partition
-from rimhook.posets import Poset, SSCensus
+from rimhook.posets import Poset, SSCensus, parse_poset, stanley_stembridge_involution
 from rimhook.symfunc import inverse_kostka_matrix, kostka_matrix
 from rimhook.tableaux import enumerate_srht, enumerate_srht_all_types
 
@@ -675,10 +674,10 @@ def test_console_script_maps_to_cli_main():
     assert config["project"]["scripts"]["rimhook"] == "rimhook.cli:main"
 
 
-# ------------------------------------------------------------ JSON writer
+# ------------------------------------------------------------ JSON output
 
 
-def test_json_output_is_the_indent_2_form(capsys, tmp_path):
+def test_json_output_is_the_compact_form(capsys, tmp_path):
     pair_file = tmp_path / "pair.json"
     pair_file.write_text(json.dumps(load_fixture("opening_pair.json")["input"]))
     state_file = tmp_path / "state.json"
@@ -695,38 +694,14 @@ def test_json_output_is_the_indent_2_form(capsys, tmp_path):
     ):
         code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert code == 0 and err == "", argv
-        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+        assert out == json.dumps(json.loads(out), separators=(",", ":")) + "\n", argv
 
 
-_json_leaves = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(2**100), max_value=2**100)
-    | st.text()
-)
-_json_trees = st.recursive(
-    _json_leaves,
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(st.text(), children, max_size=4),
-    max_leaves=30,
-)
-
-
-@given(_json_trees)
-@example([1, ["é\u0001"], [], ()])
-def test_writer_is_json_dumps_indent_2(value):
-    # `value` sits at depths 1, 1 and 3, so each list in it is met at two
-    # depths and twice at one depth
-    for x in (value, [value, value, {"again": [value]}]):
-        assert _indented_json(x) == json.dumps(x, indent=2)
-
-
-@pytest.mark.parametrize("value", [1.5, [0.0], {1: 2}, {"a": {(1,): 2}}, {1, 2}])
-def test_writer_refuses_other_types(value):
-    with pytest.raises(TypeError):
-        _indented_json(value)
+def test_ss_involution_json_is_the_census(capsys):
+    code, out, err = run_cli(capsys, "ss-involution", "--poset", EXAMPLE_POSET, "--format", "json")
+    assert code == 0 and err == ""
+    poset = parse_poset(Path(EXAMPLE_POSET).read_text())
+    assert json.loads(out) == stanley_stembridge_involution(poset).to_json()
 
 
 def _ends_cleanly(argv) -> int:

@@ -18,7 +18,7 @@ from rimhook.involution import (
     outer_involution,
     trace_to_json,
 )
-from rimhook.partitions import cells, enumerate_partitions, num_partitions
+from rimhook.partitions import enumerate_partitions, num_partitions
 from rimhook.tableaux import (
     RimHook,
     SemistandardTableau,
@@ -26,7 +26,7 @@ from rimhook.tableaux import (
     enumerate_srht_all_types,
 )
 
-from conftest import json_values, load_fixture
+from conftest import cells, json_values, load_fixture
 
 
 def corner_cells(shape):

@@ -1,17 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import nonempty_partitions, partitions
+from conftest import cells, nonempty_partitions, partitions
 from rimhook import (
-    cells,
     check_partition,
     conjugate,
     enumerate_partitions,
-    format_multiplicity,
     format_partition,
     num_partitions,
     parse_partition,
-    revlex_precedes,
 )
 from rimhook.partitions import shape_of_cells
 
@@ -47,13 +44,8 @@ def test_order_is_strictly_reverse_lex():
     for n in range(9):
         parts = enumerate_partitions(n)
         for a, b in zip(parts, parts[1:]):
-            assert revlex_precedes(a, b)
-            assert not revlex_precedes(b, a)
-
-
-def test_revlex_two_two_vs_three_one():
-    # (3,1) comes before (2,2): compare largest parts first.
-    assert revlex_precedes((3, 1), (2, 2))
+            # equal weights, so neither is a proper prefix of the other
+            assert a > b
 
 
 @given(partitions)
@@ -141,11 +133,8 @@ def test_parse_returns_a_partition_or_raises_value_error(text):
 @given(partitions)
 def test_format_parse_roundtrip(p):
     assert parse_partition(format_partition(p)) == p
-    if p:
-        assert parse_partition(format_multiplicity(p)) == p
 
 
 def test_format_examples():
     assert format_partition((3, 2, 1)) == "[3,2,1]"
     assert format_partition(()) == "[]"
-    assert format_multiplicity((3, 2, 2, 1, 1)) == "1^2 2^2 3"

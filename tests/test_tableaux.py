@@ -12,13 +12,12 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import partitions_of
+from conftest import cells, partitions_of
 from rimhook import (
     HookClass,
     RimHook,
     SemistandardTableau,
     SpecialRimHookTableau,
-    cells,
     enumerate_partitions,
     enumerate_srht,
     enumerate_ssyt,
