@@ -11,6 +11,7 @@ import functools
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .involution import (
@@ -28,7 +29,6 @@ from .posets import (
     incomparability_graph,
     is_ab_free,
     enumerate_posets,
-    parse_poset,
     read_poset,
     stanley_stembridge_involution,
 )
@@ -72,10 +72,14 @@ from .tableaux import (
 # `csf` counts fillings column by column, and chains are its slowest orders:
 # a 12-chain took 2.5 s and a 13-chain 12.3 s (16 did not finish in 120 s).
 # At height ≤ 2 `csf` and `ss-involution` build the census, whose fillings
-# grow like n!.  On a 9-element antichain (362,880 pairs) `csf` took 2.2 to
-# 2.8 s as text and 8.3 to 8.5 s as JSON, and `ss-involution` 4.0 to 4.4 s
-# as text and 7.7 to 8.2 s as JSON; text peaked at 125 MiB and JSON at
+# grow like n!.  On a 9-element antichain (362,880 pairs) `csf` took 1.8 to
+# 2.6 s as text and 4.6 to 7.2 s as JSON, and `ss-involution` 1.6 to 2.0 s
+# as text and 4.9 to 6.1 s as JSON; text peaked at 125 MiB and JSON at
 # 353 MiB (49 MB printed).  10 elements took 21 s and 990 MiB as text.
+# `ab-free` closes its file's order, quadratic in the names, and with
+# min(a, b) = 2 lists every 2-chain: on a 2000-element chain `--a 2 --b 2`
+# took 8.4 to 10.3 s (624 MiB) and `--a 3 --b 1` 5.5 to 6.1 s (206 MiB);
+# a 2250-element chain took 12.0 s (902 MiB) at `--a 2 --b 2`.
 # `trace --shape --type` lists every tiling of its shape, and 1^n has the
 # most of its weight, 2^(n-1): `trace --shape 1^18` took 7.8 s (74 MiB) and
 # 1^19 took 17 s (133 MiB).  So it lists at most as many as 1^MAX_TRACE_N
@@ -91,6 +95,7 @@ MAX_CORPUS_N = 8
 MAX_POSET_N = 12
 MAX_CENSUS_N = 9
 MAX_TRACE_N = 18
+MAX_AB_FREE_N = 2000
 
 
 def _admit_n(n: int, bound: int, flag: str = "--n") -> int:
@@ -268,12 +273,11 @@ def _cmd_ss(args) -> int:
             f"matched 2-cycles: {len(census.matched)}",
             f"fixed points: {len(census.fixed)}",
         ]
-        by_shape: dict[str, int] = {}
-        for s, _ in census.fixed:
-            key = format_partition(s.shape)
-            by_shape[key] = by_shape.get(key, 0) + 1
-        for key in sorted(by_shape):
-            lines.append(f"  shape {key}: {by_shape[key]}")
+        by_shape = Counter(s.shape for s, _ in census.fixed)
+        lines.extend(
+            f"  shape {key}: {count}"
+            for key, count in sorted((format_partition(nu), k) for nu, k in by_shape.items())
+        )
         coeff = " + ".join(
             f"{census.coefficients[mu]} e{format_partition(mu)}"
             for mu in sorted(census.coefficients, reverse=True)
@@ -286,7 +290,9 @@ def _cmd_ss(args) -> int:
 
 
 def _cmd_ab_free(args) -> int:
-    poset = parse_poset(Path(args.poset).read_text())
+    elements, relations = read_poset(Path(args.poset).read_text())
+    _admit_n(len(elements), MAX_AB_FREE_N, "the number of elements")
+    poset = Poset.from_relations(elements, relations)
     print("true" if is_ab_free(poset, args.a, args.b) else "false")
     return 0
 

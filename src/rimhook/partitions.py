@@ -58,7 +58,15 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
 
 @lru_cache(maxsize=None)
 def num_partitions(n: int) -> int:
-    return len(enumerate_partitions(n))
+    """p(n), counted part size by part size: after part k, ways[m] is the
+    number of partitions of m into parts of at most k."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            ways[m] += ways[m - part]
+    return ways[n]
 
 
 def conjugate(p) -> Partition:

@@ -8,11 +8,10 @@ matching whose fixed points are counted by the coefficients.  The matching
 joins each shape nu with at most two rows to one source shape,
 (nu1 - 1, nu2 + 1), and is a product of two maps: a walk that rewrites the
 tiling and sees the tiling alone, and a move of one label of the filling.
-So the census takes one shape pair at a time and checks each certificate
-once per tiling (one walk per tiling and direction) or once per filling
-(one move per filling, looked up among the fillings of nu it has already
-listed), which for a product map says the same as checking every pair;
-`stanley_stembridge_involution` lists where each check sits.
+Such a shape has one positive tiling and at most one negative one, so the
+census runs one push and one pull walk per shape pair and one move per
+filling, which for a product map says the same as checking every pair;
+`stanley_stembridge_involution` proves this and lists each check.
 
 Fillings are counted column by column and proper colorings from the
 partitions of the order into chains; neither is built.  The enumerators
@@ -312,87 +311,29 @@ def chromatic_polynomial_value(graph: Graph, k: int) -> int:
     return total
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def chromatic_polynomial(graph: Graph) -> tuple[int, ...]:
-    """Coefficients (ascending powers of k) via deletion–contraction, with
-    complete-graph and component shortcuts.  Independent of the counting
-    route above; the two are cross-checked in the test suite."""
+    """Coefficients (ascending powers of k) by deletion–contraction,
+    P(G) = P(G - e) - P(G / e), down to k^n on n vertices with no edges,
+    memoised on (n, edges) with the vertices numbered 0..n-1.  Independent
+    of the counting route above; the two are cross-checked in the tests."""
     index = {v: i for i, v in enumerate(graph.vertices)}
-    edges = frozenset(
-        (min(index[u], index[v]), max(index[u], index[v])) for u, v in graph.edges
-    )
-    memo: dict[tuple[int, frozenset], tuple[int, ...]] = {}
+    edges = frozenset(tuple(sorted((index[u], index[v]))) for u, v in graph.edges)
 
-    def components(n: int, es: frozenset) -> list[tuple[int, frozenset]]:
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in es:
-            parent[find(u)] = find(v)
-        groups: dict[int, list[int]] = {}
-        for v in range(n):
-            groups.setdefault(find(v), []).append(v)
-        out = []
-        for verts in groups.values():
-            remap = {v: i for i, v in enumerate(verts)}
-            sub = frozenset(
-                (remap[u], remap[v]) for u, v in es if u in remap and v in remap
-            )
-            out.append((len(verts), sub))
-        return out
-
+    @lru_cache(maxsize=None)
     def poly(n: int, es: frozenset) -> tuple[int, ...]:
         if not es:
-            return tuple([0] * n + [1])
-        if n >= 2 and len(es) == n * (n - 1) // 2:
-            coeffs = [1]
-            for i in range(n):
-                coeffs = _poly_mul(coeffs, [-i, 1])
-            return tuple(coeffs)
-        key = (n, es)
-        if key in memo:
-            return memo[key]
-        comps = components(n, es)
-        if len(comps) > 1:
-            acc = [1]
-            for cn, ces in comps:
-                acc = _poly_mul(acc, list(poly(cn, ces)))
-            memo[key] = tuple(acc)
-            return memo[key]
+            return (0,) * n + (1,)
         u, v = max(es, key=lambda e: e[1] - e[0])
-        deleted = poly(n, es - {(u, v)})
-        merged = set()
-        for a, b in es:
-            if (a, b) == (u, v):
-                continue
-            a = u if a == v else a
-            b = u if b == v else b
-            a = a - 1 if a > v else a
-            b = b - 1 if b > v else b
-            if a != b:
-                merged.add((min(a, b), max(a, b)))
-        contracted = poly(n - 1, frozenset(merged))
-        out = [0] * (n + 1)
-        for i, c in enumerate(deleted):
-            out[i] += c
-        for i, c in enumerate(contracted):
-            out[i] -= c
-        while out and out[-1] == 0:
-            out.pop()
-        memo[key] = tuple(out)
-        return memo[key]
+        deleted = es - {(u, v)}
+        # v merges into u, and the labels above v close the gap
+        drop = [i if i < v else u if i == v else i - 1 for i in range(n)]
+        merged = frozenset(
+            (min(drop[x], drop[y]), max(drop[x], drop[y]))
+            for x, y in deleted
+            if drop[x] != drop[y]
+        )
+        contracted = poly(n - 1, merged) + (0,)
+        return tuple(d - c for d, c in zip(poly(n, deleted), contracted))
 
     return poly(len(graph.vertices), edges)
 
@@ -564,18 +505,18 @@ class SSCensus:
                 parts = tilings[id(s)] = (list(s.shape), [h.to_json() for h in s.hooks])
             return {"shape": parts[0], "rows": [list(r) for r in rows], "hooks": parts[1]}
 
-        fixed_by_shape: dict[str, list] = {}
+        fixed_by_shape: dict[Partition, list] = {}
         for s, rows in self.fixed:
-            fixed_by_shape.setdefault(format_partition(s.shape), []).append(
-                combined((s, rows))
-            )
+            fixed_by_shape.setdefault(s.shape, []).append(combined((s, rows)))
         return {
             "total_pairs": self.total_pairs,
             "matched": [
                 {"negative": combined(a), "positive": combined(b)}
                 for a, b in self.matched
             ],
-            "fixed_by_shape": fixed_by_shape,
+            "fixed_by_shape": {
+                format_partition(shape): pairs for shape, pairs in fixed_by_shape.items()
+            },
         }
 
 
@@ -589,6 +530,14 @@ def _walk_partner(s: SpecialRimHookTableau, root, end) -> SpecialRimHookTableau:
             f"walk from {s.shape} ended at {final.root}, not row {end[0]}"
         )
     return SpecialRimHookTableau.from_hooks(final.hooks)
+
+
+def _only_tiling(shape: Partition, tilings, sign: int) -> SpecialRimHookTableau:
+    """The one tiling of `shape` with the given sign."""
+    found = [t for t in tilings if t.sign == sign]
+    if len(found) != 1:
+        raise RuntimeError(f"shape {shape} has {len(found)} tilings of sign {sign:+d}, not one")
+    return found[0]
 
 
 def _counterexample(nu: Partition, rows: Rows, predicted: bool) -> RuntimeError:
@@ -605,31 +554,33 @@ def stanley_stembridge_involution(poset: Poset) -> SSCensus:
     A push joins one pair of shapes: a negative pair of shape
     lam = (nu1 - 1, nu2 + 1) goes to the positive pair of shape nu one column
     longer on top.  The walk rooted at (2, lam2) moves the root to (1, nu1),
-    and the last row-2 entry follows it.  The walk sees only the tiling and
-    the move only the filling, so the push is a product of a tiling map and
-    a filling map.  The census takes the shapes nu with at most two rows one
-    at a time, those with no fillings too, each with its one source lam, and
-    checks each certificate once per tiling or once per filling:
+    and the last row-2 entry follows it, so the push is a product of a
+    tiling map and a filling map.
+
+    Lemma: a shape nu with at most two rows has exactly one positive tiling,
+    of type nu, and if it has two rows, exactly one negative tiling, of type
+    (nu1 + 1, nu2 - 1).  By `_outer_rim_strips` the strip holding the bottom
+    column-1 cell either stops at the end of row 2 (positive, leaving row 1)
+    or climbs into row 1 (negative, leaving one row of nu2 - 1), and one row
+    is tiled only one way.  So the census takes each nu, with its one source
+    lam, checks the lemma on both, and checks each certificate once per
+    shape or once per filling:
 
     - "moved entry broke a filling": every filling of lam, moved, must be in
-      the list of fillings of nu, so every image is a census pair.
-    - Injectivity: the fillings of lam move to distinct fillings, and the
-      negative tilings of lam have distinct walk partners.
+      the list of fillings of nu, so every image is a census pair, and the
+      moved fillings must be distinct.
     - Image test: a filling of nu is predicted to be hit exactly when nu has
       a row-1 overhang of at least 2 and the entry over the end of row 2 is
       above the last row-1 entry in the order.  The moved fillings must be
-      exactly the predicted ones, and if any filling was moved into nu,
-      every positive tiling of nu must be a walk partner.  A failure is a
-      counterexample to the characterization and is raised, not patched.
-    - Self-inverse: the walk rooted at (1, nu1) of each partner must return
-      the tiling it came from.  Moving the last row-1 entry of a moved
-      filling back to row 2 undoes the move for every filling, so that half
-      cannot fail and is not checked.
+      exactly the predicted ones, and if any moved, the push must end on the
+      positive tiling of nu.  A failure is a counterexample to the
+      characterization and is raised, not patched.
+    - Self-inverse: the pull, the walk rooted at (1, nu1), must return the
+      negative tiling.  Moving the last row-1 entry back to row 2 undoes the
+      move for every filling, so that half cannot fail and is not checked.
 
-    For a product map these checks say the same as checking every pair.
-    So a census runs one walk per tiling and direction and one move per
-    filling; only the lists of pairs it returns grow with tilings times
-    fillings.
+    For a product map these checks say the same as checking every pair; only
+    the lists of pairs returned grow with tilings times fillings.
     """
     if not poset.elements:
         raise ValueError("empty poset")
@@ -667,25 +618,18 @@ def stanley_stembridge_involution(poset: Poset) -> SSCensus:
             if not p:
                 unhit.append(rows)
 
-        partners: dict[SpecialRimHookTableau, SpecialRimHookTableau] = {}
-        for s in sources if moved else ():
-            if s.sign == -1:
-                pushed = _walk_partner(s, (2, lam[1]), (1, nu[0]))
-                if pushed in partners:
-                    raise RuntimeError("two negative pairs map to the same positive pair")
-                partners[pushed] = s
-                matched.extend(((s, rows), (pushed, rows2)) for rows2, rows in moved.items())
-        for t, s in partners.items():
-            if _walk_partner(t, (1, nu[0]), (2, nu2 + 1)) != s:
-                raise RuntimeError("matching is not self-inverse")
-        for t in tilings:
-            if t.sign == -1:
-                continue
-            if moved and t not in partners:
-                raise _counterexample(nu, next(iter(moved)), True)
-            fixed.extend((t, rows) for rows in unhit)
-            if unhit:
-                coeffs[t.type] = coeffs.get(t.type, 0) + len(unhit)
+        t = _only_tiling(nu, tilings, 1)
+        if lam:
+            s = _only_tiling(lam, sources, -1)
+            if moved:
+                if _walk_partner(s, (2, lam[1]), (1, nu[0])) != t:
+                    raise _counterexample(nu, next(iter(moved)), True)
+                if _walk_partner(t, (1, nu[0]), (2, nu2 + 1)) != s:
+                    raise RuntimeError("matching is not self-inverse")
+                matched.extend(((s, rows), (t, rows2)) for rows2, rows in moved.items())
+        fixed.extend((t, rows) for rows in unhit)
+        if unhit:
+            coeffs[nu] = len(unhit)
 
     total = sum(len(tilings) * len(fillings) for _, tilings, fillings in shapes)
     return SSCensus(total, tuple(matched), tuple(fixed), coeffs)

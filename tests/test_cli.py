@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import rimhook
 from rimhook.cli import (
+    MAX_AB_FREE_N,
     MAX_CENSUS_N,
     MAX_CORPUS_N,
     MAX_ENTRY_N,
@@ -478,6 +479,19 @@ def test_oversized_poset_file_is_refused_before_its_closure(capsys, tmp_path, mo
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert f"the number of elements must be at most {MAX_POSET_N}" in err
+
+
+def test_ab_free_refuses_a_file_over_the_bound_before_its_closure(capsys, tmp_path, monkeypatch):
+    def closure(*args):
+        raise AssertionError("built the closure of a file over the bound")
+
+    monkeypatch.setattr(Poset, "from_relations", closure)
+    path = tmp_path / "big.poset"
+    path.write_text(" < ".join(f"x{i}" for i in range(MAX_AB_FREE_N + 1)) + "\n")
+    code, out, err = run_cli(capsys, "ab-free", "--poset", str(path), "--a", "2", "--b", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"the number of elements must be at most {MAX_AB_FREE_N}" in err
 
 
 @pytest.mark.parametrize(

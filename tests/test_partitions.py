@@ -23,6 +23,13 @@ def test_counts_match_pentagonal_recurrence():
         assert len(enumerate_partitions(n)) == expected
 
 
+def test_counted_partitions_match_the_listing():
+    for n in range(31):
+        assert num_partitions(n) == len(enumerate_partitions(n))
+    with pytest.raises(ValueError):
+        num_partitions(-1)
+
+
 def test_order_n4_exactly():
     assert enumerate_partitions(4) == (
         (4,),

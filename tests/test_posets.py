@@ -344,6 +344,40 @@ def test_chain_partition_route_matches_deletion_contraction(n):
             assert chromatic_polynomial_value(g, k) == evaluate_polynomial(poly, k)
 
 
+def _poly_product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _complete_graph(n):
+    vs = tuple(f"v{i}" for i in range(n))
+    return Graph(vs, frozenset(itertools.combinations(vs, 2)))
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_deletion_contraction_on_complete_graphs(n):
+    want = (1,)
+    for i in range(n):  # k(k-1)...(k-n+1)
+        want = _poly_product(want, (-i, 1))
+    assert chromatic_polynomial(_complete_graph(n)) == want
+
+
+def test_deletion_contraction_multiplies_over_components():
+    parts = [incomparability_graph(p) for n in (2, 3) for p in enumerate_posets(n)]
+    parts += [_complete_graph(4), Graph(("z",), frozenset())]
+    for g, h in itertools.product(parts, repeat=2):
+        rename = {v: v + "'" for v in h.vertices}
+        union = Graph(
+            g.vertices + tuple(rename[v] for v in h.vertices),
+            g.edges | {(rename[u], rename[v]) for u, v in h.edges},
+        )
+        want = _poly_product(chromatic_polynomial(g), chromatic_polynomial(h))
+        assert chromatic_polynomial(union) == want
+
+
 def test_chromatic_value_rejects_negative_k():
     with pytest.raises(ValueError):
         chromatic_polynomial_value(incomparability_graph(chain(2)), -1)
@@ -442,6 +476,19 @@ def test_filling_predicate():
 # ------------------------------------------------------ two-row matching
 
 
+def test_a_shape_with_two_rows_at_most_has_one_tiling_of_each_sign():
+    shapes = [(n - b, b) if b else (n,) for n in range(1, 31) for b in range(n // 2 + 1)]
+    assert len(shapes) == 255
+    for nu in shapes:
+        tilings = posets.enumerate_srht_all_types(nu)
+        assert [t.type for t in tilings if t.sign == 1] == [nu]
+        negative = [t.type for t in tilings if t.sign == -1]
+        if len(nu) == 1:
+            assert negative == []
+        else:
+            assert negative == [tuple(x for x in (nu[0] + 1, nu[1] - 1) if x)]
+
+
 def test_fence_census(npo):
     census = stanley_stembridge_involution(npo)
     assert census.total_pairs == 20
@@ -526,7 +573,7 @@ def test_census_raises_on_a_shared_partner(npo, monkeypatch):
         return out + [s for s in out if s.sign == -1] if shape == (3, 1) else out
 
     monkeypatch.setattr(posets, "enumerate_srht_all_types", doubled)
-    with pytest.raises(RuntimeError, match="two negative pairs map to the same"):
+    with pytest.raises(RuntimeError, match=r"shape \(3, 1\) has 2 tilings of sign -1, not one"):
         stanley_stembridge_involution(npo)
 
 
@@ -538,6 +585,19 @@ def test_census_raises_when_the_pull_misses(npo, monkeypatch):
 
     monkeypatch.setattr(posets, "_walk_partner", stay)
     with pytest.raises(RuntimeError, match="matching is not self-inverse"):
+        stanley_stembridge_involution(npo)
+
+
+def test_census_raises_when_the_push_misses(npo, monkeypatch):
+    # the push returns the negative tiling it started from, which is not
+    # the positive tiling of nu, while fillings move into nu
+    walk = posets._walk_partner
+
+    def stay(s, root, end):
+        return s if root[0] == 2 else walk(s, root, end)
+
+    monkeypatch.setattr(posets, "_walk_partner", stay)
+    with pytest.raises(RuntimeError, match="image characterization counterexample"):
         stanley_stembridge_involution(npo)
 
 
@@ -580,7 +640,7 @@ def test_census_raises_on_a_positive_tiling_no_walk_reaches(npo, monkeypatch):
         return out
 
     monkeypatch.setattr(posets, "enumerate_srht_all_types", dropping)
-    with pytest.raises(RuntimeError, match="image characterization counterexample"):
+    with pytest.raises(RuntimeError, match=r"shape \(3, 1\) has 0 tilings of sign -1, not one"):
         stanley_stembridge_involution(npo)
 
 
