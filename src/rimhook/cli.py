@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 from collections import Counter
@@ -71,15 +72,25 @@ from .tableaux import (
 # 183,231 posets on 9 elements, so 8 is the bound there.
 # `csf` counts fillings column by column, and chains are its slowest orders:
 # a 12-chain took 2.5 s and a 13-chain 12.3 s (16 did not finish in 120 s).
-# At height ≤ 2 `csf` and `ss-involution` build the census, whose fillings
-# grow like n!.  On a 9-element antichain (362,880 pairs) `csf` took 1.8 to
-# 2.6 s as text and 4.6 to 7.2 s as JSON, and `ss-involution` 1.6 to 2.0 s
-# as text and 4.9 to 6.1 s as JSON; text peaked at 125 MiB and JSON at
-# 353 MiB (49 MB printed).  10 elements took 21 s and 990 MiB as text.
+# At height ≤ 2 `ss-involution` and `csf --format json` build the census,
+# whose fillings grow like n!.  On a 9-element antichain (362,880 pairs)
+# `csf` took 4.6 to 7.2 s as JSON, and `ss-involution` 1.6 to 2.0 s as text
+# and 4.9 to 6.1 s as JSON; text peaked at 125 MiB and JSON at 353 MiB
+# (49 MB printed).  10 elements took 21 s and 990 MiB as text.  `csf` as
+# text builds no census, so MAX_POSET_N alone bounds it: at 12 elements and
+# height 2, the antichain took 0.15 to 0.18 s, the ordinal sum of two
+# 6-element antichains 0.23 s, and the 9-element antichain 0.11 s.
 # `ab-free` closes its file's order, quadratic in the names, and with
 # min(a, b) = 2 lists every 2-chain: on a 2000-element chain `--a 2 --b 2`
 # took 8.4 to 10.3 s (624 MiB) and `--a 3 --b 1` 5.5 to 6.1 s (206 MiB);
-# a 2250-element chain took 12.0 s (902 MiB) at `--a 2 --b 2`.
+# a 2250-element chain took 12.0 s (902 MiB) at `--a 2 --b 2`.  It lists at
+# most C(names, min(a, b)) chains, as many as a chain has, and refuses more
+# than MAX_AB_FREE_CHAINS before closing the order, which admits every
+# 2-chain of 2000 names: at that cap, chains of 289 names at `--a 3 --b 3`
+# took 5.7 to 7.2 s (281 MiB), 100 names at 4 and 4 took 6.5 s, 56 at 5 and
+# 5 7.8 s, 40 at 6 and 6 8.0 s, and 28 at 8 and 8 7.3 s.  The cap is kept
+# round, below the 4,455,100 3-chains of 300 names (6.7 to 7.2 s, 314 MiB),
+# for a machine shared with other load.
 # `trace --shape --type` lists every tiling of its shape, and 1^n has the
 # most of its weight, 2^(n-1): `trace --shape 1^18` took 7.8 s (74 MiB) and
 # 1^19 took 17 s (133 MiB).  So it lists at most as many as 1^MAX_TRACE_N
@@ -96,6 +107,7 @@ MAX_POSET_N = 12
 MAX_CENSUS_N = 9
 MAX_TRACE_N = 18
 MAX_AB_FREE_N = 2000
+MAX_AB_FREE_CHAINS = 4_000_000
 
 
 def _admit_n(n: int, bound: int, flag: str = "--n") -> int:
@@ -112,14 +124,14 @@ def _parse_cell(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _load_poset(path: str) -> Poset:
+def _load_poset(path: str, census: bool) -> Poset:
     """The poset in `path` if `csf` and `ss-involution` take it: at most
-    MAX_POSET_N elements, counted before the closure is built, and at most
-    MAX_CENSUS_N at height ≤ 2, where a census runs."""
+    MAX_POSET_N elements, counted before the closure is built, and, if the
+    command builds a census, at most MAX_CENSUS_N at height ≤ 2."""
     elements, relations = read_poset(Path(path).read_text())
     n = _admit_n(len(elements), MAX_POSET_N, "the number of elements")
     poset = Poset.from_relations(elements, relations)
-    if n > MAX_CENSUS_N and height(poset) <= 2:
+    if census and n > MAX_CENSUS_N and height(poset) <= 2:
         _admit_n(n, MAX_CENSUS_N, "the number of elements at height <= 2")
     return poset
 
@@ -259,13 +271,14 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_csf(args) -> int:
-    result = csf(_load_poset(args.poset))
+    # only the JSON form reads `pair_census`, and so builds the census
+    result = csf(_load_poset(args.poset, census=args.format == "json"))
     _emit(result.to_json, args.format, result.e_expansion.format_text)
     return 0
 
 
 def _cmd_ss(args) -> int:
-    census = stanley_stembridge_involution(_load_poset(args.poset))
+    census = stanley_stembridge_involution(_load_poset(args.poset, census=True))
 
     def text() -> str:
         lines = [
@@ -292,6 +305,11 @@ def _cmd_ss(args) -> int:
 def _cmd_ab_free(args) -> int:
     elements, relations = read_poset(Path(args.poset).read_text())
     _admit_n(len(elements), MAX_AB_FREE_N, "the number of elements")
+    # the chains listed are those of size min(a, b), at most C(names, size);
+    # is_ab_free refuses a size below 1
+    size = max(min(args.a, args.b), 0)
+    _admit_n(math.comb(len(elements), size), MAX_AB_FREE_CHAINS,
+             f"the number of {size}-element chains it may list, C({len(elements)}, {size}),")
     poset = Poset.from_relations(elements, relations)
     print("true" if is_ab_free(poset, args.a, args.b) else "false")
     return 0

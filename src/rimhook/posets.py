@@ -11,7 +11,11 @@ tiling and sees the tiling alone, and a move of one label of the filling.
 Such a shape has one positive tiling and at most one negative one, so the
 census runs one push and one pull walk per shape pair and one move per
 filling, which for a product map says the same as checking every pair;
-`stanley_stembridge_involution` proves this and lists each check.
+`stanley_stembridge_involution` proves this and lists each check.  The
+matching is a certificate: `csf` gives both expansions without it, and its
+result builds the census when `pair_census` is first read.  So a census
+counterexample surfaces only where the census is read: `ss-involution`,
+`csf --format json` and `corpus`.
 
 Fillings are counted column by column and proper colorings from the
 partitions of the order into chains; neither is built.  The enumerators
@@ -641,7 +645,15 @@ def stanley_stembridge_involution(poset: Poset) -> SSCensus:
 class CsfResult:
     s_expansion: SymFuncExpansion
     e_expansion: SymFuncExpansion
-    pair_census: SSCensus | None
+    poset: Poset
+
+    @cached_property
+    def pair_census(self) -> SSCensus | None:
+        """The census of `poset`, built the first time it is read; None for
+        the empty poset and above height 2."""
+        if not self.poset.elements or height(self.poset) > 2:
+            return None
+        return stanley_stembridge_involution(self.poset)
 
     def to_json(self) -> dict:
         return {
@@ -653,7 +665,10 @@ class CsfResult:
 
 def csf(poset: Poset) -> CsfResult:
     """Chromatic symmetric function of the incomparability graph, in the
-    Schur and elementary bases; needs a (3+1)-free order."""
+    Schur and elementary bases; needs a (3+1)-free order.  No census is
+    built here: the result builds it when `pair_census` is first read, so
+    a census counterexample surfaces only in its readers (`ss-involution`,
+    `csf --format json` and `corpus`)."""
     if not is_ab_free(poset, 3, 1):
         raise ValueError("expansion requires a (3+1)-free order")
     n = len(poset.elements)
@@ -675,11 +690,10 @@ def csf(poset: Poset) -> CsfResult:
         mu: sum(row[j] * f for j, f in filled)
         for mu, row in zip(inv.order, inv.rows)
     }
-    census = stanley_stembridge_involution(poset) if n and h <= 2 else None
     return CsfResult(
         SymFuncExpansion("s", s_coeffs, n),
         SymFuncExpansion("e", e_coeffs, n),
-        census,
+        poset,
     )
 
 

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import rimhook
 from rimhook.cli import (
+    MAX_AB_FREE_CHAINS,
     MAX_AB_FREE_N,
     MAX_CENSUS_N,
     MAX_CORPUS_N,
@@ -445,24 +447,25 @@ def test_csf_json_carries_both_bases(capsys):
 
 
 # chains are the slowest orders for the filling counter; an antichain has
-# n! fillings of one row, and the census lists them
+# n! fillings of one row, and the census, which `ss-involution` and
+# `csf --format json` build, lists them
 _LONG_CHAIN = " < ".join(f"x{i}" for i in range(MAX_POSET_N + 1))
 _WIDE_ANTICHAIN = "\n".join(f"a{i}" for i in range(MAX_CENSUS_N + 1))
 
 
 @pytest.mark.parametrize(
-    "command, text, bound, what",
+    "argv, text, bound, what",
     [
-        ("csf", _LONG_CHAIN, MAX_POSET_N, "elements"),
-        ("csf", _WIDE_ANTICHAIN, MAX_CENSUS_N, "height <= 2"),
-        ("ss-involution", _WIDE_ANTICHAIN, MAX_CENSUS_N, "height <= 2"),
+        (["csf"], _LONG_CHAIN, MAX_POSET_N, "elements"),
+        (["csf", "--format", "json"], _WIDE_ANTICHAIN, MAX_CENSUS_N, "height <= 2"),
+        (["ss-involution"], _WIDE_ANTICHAIN, MAX_CENSUS_N, "height <= 2"),
     ],
     ids=["csf-chain", "csf-antichain", "ss-involution-antichain"],
 )
-def test_poset_sizes_beyond_the_bound_are_refused(capsys, tmp_path, command, text, bound, what):
+def test_poset_sizes_beyond_the_bound_are_refused(capsys, tmp_path, argv, text, bound, what):
     path = tmp_path / "big.poset"
     path.write_text(text + "\n")
-    code, out, err = run_cli(capsys, command, "--poset", str(path))
+    code, out, err = run_cli(capsys, *argv, "--poset", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert what in err and f"must be at most {bound}" in err
@@ -494,15 +497,33 @@ def test_ab_free_refuses_a_file_over_the_bound_before_its_closure(capsys, tmp_pa
     assert f"the number of elements must be at most {MAX_AB_FREE_N}" in err
 
 
+def test_ab_free_refuses_too_many_chains_before_the_closure(capsys, tmp_path, monkeypatch):
+    def closure(*args):
+        raise AssertionError("built the closure of a file over the bound")
+
+    monkeypatch.setattr(Poset, "from_relations", closure)
+    path = tmp_path / "chain.poset"
+    path.write_text(" < ".join(f"x{i}" for i in range(300)) + "\n")
+    assert math.comb(300, 3) > MAX_AB_FREE_CHAINS
+    code, out, err = run_cli(capsys, "ab-free", "--poset", str(path), "--a", "3", "--b", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"C(300, 3), must be at most {MAX_AB_FREE_CHAINS}" in err
+    # while every 2-chain of a file within the name bound is admitted
+    assert math.comb(MAX_AB_FREE_N, 2) <= MAX_AB_FREE_CHAINS
+
+
 @pytest.mark.parametrize(
     "command, levels, bound, answer",
     [
         # ordinal sums of antichains: the graph is a union of cliques
         ("csf", (4, 4, 4), MAX_POSET_N, "13824 e[4,4,4]"),
+        # text builds no census, so height 2 is bounded by MAX_POSET_N alone
+        ("csf", (6, 6), MAX_POSET_N, "518400 e[6,6]"),
         ("csf", (4, 5), MAX_CENSUS_N, "2880 e[5,4]"),
         ("ss-involution", (4, 5), MAX_CENSUS_N, "coefficients: 2880 e[5,4]"),
     ],
-    ids=["csf-4+4+4", "csf-4+5", "ss-involution-4+5"],
+    ids=["csf-4+4+4", "csf-6+6", "csf-4+5", "ss-involution-4+5"],
 )
 def test_poset_sizes_at_the_bound_are_answered(capsys, tmp_path, command, levels, bound, answer):
     assert sum(levels) == bound
@@ -533,6 +554,17 @@ def test_text_output_builds_no_json(capsys, monkeypatch):
     monkeypatch.setattr(SSCensus, "to_json", refuse)
     assert [run_cli(capsys, *argv) for argv in commands] == plain
     assert [code for code, _, _ in plain] == [0, 0]
+
+
+def test_csf_text_builds_no_census(capsys, monkeypatch):
+    plain = run_cli(capsys, "csf", "--poset", EXAMPLE_POSET)
+
+    def refuse(poset):
+        raise AssertionError("text output built the census")
+
+    monkeypatch.setattr(rimhook.posets, "stanley_stembridge_involution", refuse)
+    assert run_cli(capsys, "csf", "--poset", EXAMPLE_POSET) == plain
+    assert plain[0] == 0
 
 
 def test_ss_involution_text(capsys):

@@ -563,9 +563,9 @@ def test_census_accounts_for_every_pair(n):
 
 
 def test_census_raises_on_a_shared_partner(npo, monkeypatch):
-    # a two-row shape has one negative tiling, and pushes join one pair of
-    # shapes; so the source shape (3,1) lists its negative tiling twice, and
-    # both copies walk to the one partner
+    # the source shape (3,1) lists its negative tiling twice, so the check
+    # that a two-row shape has exactly one tiling of sign -1 raises before
+    # any walk
     tilings = posets.enumerate_srht_all_types
 
     def doubled(shape):
@@ -629,8 +629,9 @@ def test_census_raises_on_an_image_counterexample(npo, monkeypatch):
 
 
 def test_census_raises_on_a_positive_tiling_no_walk_reaches(npo, monkeypatch):
-    # one negative tiling of the source shape (3,1) goes missing, so one
-    # positive tiling of [4] is nobody's partner while fillings move into it
+    # the one negative tiling of the source shape (3,1) goes missing, so the
+    # check that a two-row shape has exactly one tiling of sign -1 raises
+    # before any walk
     tilings = posets.enumerate_srht_all_types
 
     def dropping(shape):
@@ -669,6 +670,60 @@ def test_matching_requires_short_posets():
         stanley_stembridge_involution(chain(3))
     with pytest.raises(ValueError):
         stanley_stembridge_involution(Poset((), frozenset()))
+
+
+def test_csf_builds_no_census_until_it_is_read(npo, monkeypatch):
+    def refuse(poset):
+        raise AssertionError("built the census")
+
+    monkeypatch.setattr(posets, "stanley_stembridge_involution", refuse)
+    result = csf(npo)
+    assert result.e_expansion.coeffs == {(4,): 4, (3, 1): 2, (2, 2): 2}
+    assert result.s_expansion.coeffs == {(1, 1, 1, 1): 8, (2, 1, 1): 4, (2, 2): 2}
+    with pytest.raises(AssertionError, match="built the census"):
+        result.pair_census
+
+
+def test_pair_census_is_built_once(npo, monkeypatch):
+    built = []
+
+    def counting(poset):
+        built.append(poset)
+        return stanley_stembridge_involution(poset)
+
+    monkeypatch.setattr(posets, "stanley_stembridge_involution", counting)
+    result = csf(npo)
+    assert result.pair_census is result.pair_census
+    assert built == [npo]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pair_census_is_the_census_at_height_two_and_none_above(n):
+    for p in enumerate_posets(n):
+        if not is_ab_free(p, 3, 1):
+            continue
+        census = csf(p).pair_census
+        if height(p) <= 2:
+            assert census == stanley_stembridge_involution(p)
+        else:
+            assert census is None
+
+
+def test_csf_json_matches_the_pinned_hash():
+    # sha256 over the compact csf JSON, census included, of the 245
+    # (3+1)-free posets with 1 to 6 elements, in enumeration order
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 7):
+        for p in enumerate_posets(n):
+            if not is_ab_free(p, 3, 1):
+                continue
+            digest.update(json.dumps(csf(p).to_json(), separators=(",", ":")).encode() + b"\n")
+            count += 1
+    assert count == 245
+    assert digest.hexdigest() == (
+        "89ada0e00c6f9b3a88a8bd7bd64f28f4c0c65122d5ad582d9bb47be8589d39d9"
+    )
 
 
 @pytest.mark.parametrize("n", range(1, 6))
