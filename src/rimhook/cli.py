@@ -21,7 +21,7 @@ from .involution import (
     outer_involution,
     trace_to_json,
 )
-from .partitions import format_partition, parse_partition
+from .partitions import conjugate, format_partition, parse_partition
 from .posets import (
     Poset,
     chromatic_polynomial_value,
@@ -30,6 +30,8 @@ from .posets import (
     incomparability_graph,
     is_ab_free,
     enumerate_posets,
+    _fill_counts,
+    _summands,
     read_poset,
     stanley_stembridge_involution,
 )
@@ -70,15 +72,23 @@ from .tableaux import (
 # weight 15) took 22 s.
 # `corpus --max-elements 8` takes about 90 s, but n = 9 would grow all
 # 183,231 posets on 9 elements, so 8 is the bound there.
-# `csf` counts fillings column by column, and chains are its slowest orders:
-# a 12-chain took 2.5 s and a 13-chain 12.3 s (16 did not finish in 120 s).
+# `csf` counts the fillings of each component of the incomparability graph
+# alone and joins their e-expansions, so MAX_POSET_N bounds the largest
+# component, the connected unit interval order with i < j when j > i + 1
+# being the slowest found at 12 elements (0.53 s; connected orders of
+# height 2 or 3 took under 0.1 s).  The total is bounded by MAX_MATRIX_N,
+# counted before the closure, since several components read the Schur
+# coefficients through kostka_matrix(n): that order plus a 10-chain, 22
+# elements, took 7.6 s as JSON (353 MiB), a 22-chain 7.2 s (349 MiB) and a
+# 20-chain 2.4 s, while a 13-chain, refused when the whole order was
+# filled at once (12.3 s), takes 0.13 s.
 # At height ≤ 2 `ss-involution` and `csf --format json` build the census,
 # whose fillings grow like n!.  On a 9-element antichain (362,880 pairs)
 # `csf` took 4.6 to 7.2 s as JSON, and `ss-involution` 1.6 to 2.0 s as text
 # and 4.9 to 6.1 s as JSON; text peaked at 125 MiB and JSON at 353 MiB
 # (49 MB printed).  10 elements took 21 s and 990 MiB as text.  `csf` as
-# text builds no census, so MAX_POSET_N alone bounds it: at 12 elements and
-# height 2, the antichain took 0.15 to 0.18 s, the ordinal sum of two
+# text builds no census, so the bounds above alone bound it: at height 2,
+# the 12-element antichain took 0.15 to 0.18 s, the ordinal sum of two
 # 6-element antichains 0.23 s, and the 9-element antichain 0.11 s.
 # `ab-free` closes its file's order, quadratic in the names, and with
 # min(a, b) = 2 lists every 2-chain: on a 2000-element chain `--a 2 --b 2`
@@ -126,11 +136,16 @@ def _parse_cell(text: str) -> tuple[int, int]:
 
 def _load_poset(path: str, census: bool) -> Poset:
     """The poset in `path` if `csf` and `ss-involution` take it: at most
-    MAX_POSET_N elements, counted before the closure is built, and, if the
-    command builds a census, at most MAX_CENSUS_N at height ≤ 2."""
+    MAX_MATRIX_N elements, counted before the closure is built; at most
+    MAX_POSET_N in each component of its incomparability graph, the orders
+    whose fillings `csf` counts; and, if the command builds a census, at
+    most MAX_CENSUS_N at height ≤ 2."""
     elements, relations = read_poset(Path(path).read_text())
-    n = _admit_n(len(elements), MAX_POSET_N, "the number of elements")
+    n = _admit_n(len(elements), MAX_MATRIX_N, "the number of elements")
     poset = Poset.from_relations(elements, relations)
+    _, below, above = poset._order
+    largest = max((part.bit_count() for part in _summands(below, above)), default=0)
+    _admit_n(largest, MAX_POSET_N, "the number of elements in one incomparability component")
     if census and n > MAX_CENSUS_N and height(poset) <= 2:
         _admit_n(n, MAX_CENSUS_N, "the number of elements at height <= 2")
     return poset
@@ -303,11 +318,12 @@ def _cmd_ss(args) -> int:
 
 
 def _cmd_ab_free(args) -> int:
+    if args.a < 1 or args.b < 1:
+        raise ValueError("chain sizes must be positive")
     elements, relations = read_poset(Path(args.poset).read_text())
     _admit_n(len(elements), MAX_AB_FREE_N, "the number of elements")
-    # the chains listed are those of size min(a, b), at most C(names, size);
-    # is_ab_free refuses a size below 1
-    size = max(min(args.a, args.b), 0)
+    # the chains listed are those of size min(a, b), at most C(names, size)
+    size = min(args.a, args.b)
     _admit_n(math.comb(len(elements), size), MAX_AB_FREE_CHAINS,
              f"the number of {size}-element chains it may list, C({len(elements)}, {size}),")
     poset = Poset.from_relations(elements, relations)
@@ -329,6 +345,13 @@ def _cmd_corpus(args) -> int:
         positive = 0
         for poset in free:
             result = csf(poset)
+            # csf multiplies over the components of the incomparability
+            # graph; its Schur coefficients must be the fillings of the
+            # whole order, counted by one counter (Gasharov)
+            _, below, above = poset._order
+            fills = _fill_counts(below, above, (1 << n) - 1)
+            if {conjugate(lam): f for lam, f in fills.items()} != result.s_expansion.coeffs:
+                failures += 1
             graph = incomparability_graph(poset)
             for k in range(1, 5):
                 if evaluate_at_ones(result.e_expansion, k) != chromatic_polynomial_value(graph, k):

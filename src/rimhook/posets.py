@@ -17,6 +17,17 @@ result builds the census when `pair_census` is first read.  So a census
 counterexample surfaces only where the census is read: `ss-involution`,
 `csf --format json` and `corpus`.
 
+`csf` splits the order first.  Two elements in different components of
+the incomparability graph are comparable, so the order is the ordinal sum
+of its components, and X_P is the product of their chromatic symmetric
+functions (Stanley 1995, Prop. 2.3).  Each component's fillings are
+counted alone and pushed through K^-1 of its size to its e-expansion, and
+in the e-basis the product joins partitions.  The Schur coefficients come
+two ways: with one component they are the filling counts (Gasharov); with
+more they are read from e through K, since e_mu = sum_lam K(lam, mu) s_lam'.
+A chain is all one-element components, each e[1], so none of its
+fillings is counted.  The census always runs on the whole order.
+
 Fillings are counted column by column and proper colorings from the
 partitions of the order into chains; neither is built.  The enumerators
 (`enumerate_p_tableaux`, on bitmasks, and deletion–contraction) stay for
@@ -42,7 +53,7 @@ from .partitions import (
     enumerate_partitions,
     format_partition,
 )
-from .symfunc import SymFuncExpansion, inverse_kostka_matrix
+from .symfunc import SymFuncExpansion, inverse_kostka_matrix, kostka_matrix
 from .tableaux import SpecialRimHookTableau, enumerate_srht_all_types
 
 Rows = tuple[tuple[str, ...], ...]
@@ -197,20 +208,29 @@ def height(poset: Poset) -> int:
 
 
 def _chains(above, size: int) -> list[int]:
-    """Masks of the chains of `size` elements, each grown upward from its
-    least element, so each is found once."""
-    out = []
-
-    def grow(mask: int, top: int, missing: int):
-        if not missing:
-            out.append(mask)
-            return
-        for j in _bits(above[top]):
-            grow(mask | 1 << j, j, missing - 1)
-
-    for i in range(len(above)):
-        grow(1 << i, i, size - 1)
-    return out
+    """Masks of the chains of `size` >= 1 elements, grown level by level
+    upward from each least element, so each is found once.  `starts[m]` is
+    the mask of the elements at the bottom of some m-element chain, and a
+    chain missing m elements grows only into `starts[m]`, so a partial
+    chain past its first element is never a dead end and the work follows
+    the chains listed."""
+    starts = [0, (1 << len(above)) - 1]
+    for _ in range(size - 2):  # i starts an (m+1)-chain if it is below an m-start
+        left = starts[-1]
+        starts.append(sum(1 << i for i in _bits(left) if above[i] & left))
+    tops = range(len(above))
+    masks = [1 << i for i in tops]
+    for missing in range(size - 1, 1, -1):
+        grown, ends = [], []
+        for mask, top in zip(masks, tops):
+            for j in _bits(above[top] & starts[missing]):
+                grown.append(mask | 1 << j)
+                ends.append(j)
+        masks, tops = grown, ends
+    if size == 1:
+        return masks
+    # the last element may be anything above the top, and no top is kept
+    return [mask | 1 << j for mask, top in zip(masks, tops) for j in _bits(above[top])]
 
 
 def is_ab_free(poset: Poset, a: int, b: int) -> bool:
@@ -403,8 +423,29 @@ def enumerate_p_tableaux(poset: Poset, shape) -> list[Rows]:
     return out
 
 
-def _p_tableau_counter(poset: Poset):
-    """Filling counts for any shapes of weight |P|, sharing one memo.
+def _summands(below, above) -> list[int]:
+    """Masks of the components of the incomparability graph, lowest
+    element first.  Any two elements of different components are
+    comparable, so the order is the ordinal sum of its components."""
+    full = (1 << len(below)) - 1
+    out = []
+    left = full
+    while left:
+        part = frontier = left & -left
+        while frontier:  # add everything incomparable to the last elements added
+            reach = 0
+            for i in _bits(frontier):
+                reach |= full ^ below[i] ^ above[i]
+            frontier = reach & left & ~part
+            part |= frontier
+        out.append(part)
+        left ^= part
+    return out
+
+
+def _p_tableau_counter(below, above, elements: int):
+    """Filling counts by the elements of the mask `elements`, for any
+    shapes of their weight, sharing one memo.
 
     A column is a chain read top to bottom, and the row rule compares only
     adjacent columns.  So the shape is filled column by column, from the
@@ -413,21 +454,19 @@ def _p_tableau_counter(poset: Poset):
     column in the rows the next column reaches.  Shapes share suffixes of
     column heights, so one memo serves every shape asked of the counter.
 
-    Rows are packed as n-bit fields of one integer: a chain sets bit e of
-    field r when its row-r entry is e, and a column hands the next one the
-    elements below each of its entries, so "no entry below its left
-    neighbour" is one AND.
+    Rows are packed as n-bit fields of one integer, n the size of the whole
+    order: a chain sets bit e of field r when its row-r entry is e, and a
+    column hands the next one the elements below each of its entries, so
+    "no entry below its left neighbour" is one AND.
     """
-    _, below, above = poset._order
     n = len(below)
-    full = (1 << n) - 1
     # chains[h]: (element mask, row fields, forbidden fields for each cut)
     chains: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(n + 1)]
 
     def grow(mask: int, rows: int, forbids: tuple[int, ...], top: int):
         h = len(forbids) - 1
         chains[h].append((mask, rows, forbids))
-        for e in _bits(above[top] if h else full):
+        for e in _bits(above[top] & elements if h else elements):
             grow(mask | 1 << e, rows | 1 << e + h * n,
                  forbids + (forbids[-1] | below[e] << h * n,), e)
 
@@ -449,7 +488,7 @@ def _p_tableau_counter(poset: Poset):
         memo[key] = total
         return total
 
-    return lambda shape: finish(conjugate(shape), full, 0)
+    return lambda shape: finish(conjugate(shape), elements, 0)
 
 
 def count_p_tableaux(poset: Poset, shape) -> int:
@@ -466,7 +505,8 @@ def count_p_tableaux(poset: Poset, shape) -> int:
     shape = check_partition(shape)
     if sum(shape) != len(poset.elements):
         raise ValueError("shape weight must equal the number of elements")
-    return _p_tableau_counter(poset)(shape)
+    _, below, above = poset._order
+    return _p_tableau_counter(below, above, (1 << len(below)) - 1)(shape)
 
 
 def is_p_tableau(poset: Poset, rows: Rows) -> bool:
@@ -663,33 +703,74 @@ class CsfResult:
         }
 
 
+def _fill_counts(below, above, elements: int) -> dict[Partition, int]:
+    """Gasharov's counts: the fillings by the elements of the mask
+    `elements`, per shape, for the shapes with a nonzero count."""
+    m = elements.bit_count()
+    h = _peel(below, elements, m)
+    count = _p_tableau_counter(below, above, elements)
+    return {
+        lam: f
+        for lam in enumerate_partitions(m)
+        if len(lam) <= h  # a column must be a chain
+        if (f := count(lam))
+    }
+
+
+def _e_of_fills(fills: dict[Partition, int], m: int) -> dict[Partition, int]:
+    """The e-expansion whose s-coefficient at conjugate(lam) is fills[lam],
+    read through the signed hook-count matrix of weight m."""
+    inv = inverse_kostka_matrix(m)
+    column = {lam: j for j, lam in enumerate(inv.order)}
+    filled = [(column[lam], f) for lam, f in fills.items()]
+    e = {mu: sum(row[j] * f for j, f in filled) for mu, row in zip(inv.order, inv.rows)}
+    return {mu: c for mu, c in e.items() if c}
+
+
 def csf(poset: Poset) -> CsfResult:
     """Chromatic symmetric function of the incomparability graph, in the
-    Schur and elementary bases; needs a (3+1)-free order.  No census is
-    built here: the result builds it when `pair_census` is first read, so
-    a census counterexample surfaces only in its readers (`ss-involution`,
-    `csf --format json` and `corpus`)."""
+    Schur and elementary bases; needs a (3+1)-free order.
+
+    An order is the ordinal sum of the components of its incomparability
+    graph, and X_P is the product of theirs (Stanley 1995, Prop. 2.3),
+    which in the e-basis joins partitions.  So each component's fillings
+    are counted alone and pushed through K^-1 of its size to its
+    e-expansion, a one-element component being e[1], and the products
+    are joined.  With one component the Schur coefficients are the filling
+    counts (Gasharov); with more they are read from e, since
+    e_mu = sum_lam K(lam, mu) s_lam' gives the coefficient of
+    s_conjugate(lam) as sum_mu e(mu) K(lam, mu).
+
+    No census is built here: the result builds it, over the whole order,
+    when `pair_census` is first read, so a census counterexample surfaces
+    only in its readers (`ss-involution`, `csf --format json` and
+    `corpus`)."""
     if not is_ab_free(poset, 3, 1):
         raise ValueError("expansion requires a (3+1)-free order")
     n = len(poset.elements)
-    h = height(poset) if n else 0
-    count = _p_tableau_counter(poset)
-    fill_counts: dict[Partition, int] = {}
-    s_coeffs: dict[Partition, int] = {}
-    for lam in enumerate_partitions(n):
-        if len(lam) > h and n:
-            continue  # a column must be a chain
-        f = count(lam)
-        if f:
-            fill_counts[lam] = f
-            s_coeffs[conjugate(lam)] = f
-    inv = inverse_kostka_matrix(n)
-    column = {lam: j for j, lam in enumerate(inv.order)}
-    filled = [(column[lam], f) for lam, f in fill_counts.items()]
-    e_coeffs = {
-        mu: sum(row[j] * f for j, f in filled)
-        for mu, row in zip(inv.order, inv.rows)
-    }
+    _, below, above = poset._order
+    parts = _summands(below, above) or [0]
+    if len(parts) == 1:
+        fills = _fill_counts(below, above, parts[0])
+        s_coeffs = {conjugate(lam): f for lam, f in fills.items()}
+        e_coeffs = _e_of_fills(fills, n)
+    else:
+        e_coeffs = {(): 1}
+        for part in parts:
+            m = part.bit_count()
+            factor = {(1,): 1} if m == 1 else _e_of_fills(_fill_counts(below, above, part), m)
+            joined: dict[Partition, int] = {}
+            for mu, c in e_coeffs.items():
+                for nu, d in factor.items():
+                    key = tuple(sorted(mu + nu, reverse=True))
+                    joined[key] = joined.get(key, 0) + c * d
+            e_coeffs = joined
+        kostka = kostka_matrix(n)
+        columns = [(kostka.index(mu), c) for mu, c in e_coeffs.items()]
+        s_coeffs = {
+            conjugate(lam): sum(row[j] * c for j, c in columns)
+            for lam, row in zip(kostka.order, kostka.rows)
+        }
     return CsfResult(
         SymFuncExpansion("s", s_coeffs, n),
         SymFuncExpansion("e", e_coeffs, n),

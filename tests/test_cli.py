@@ -446,21 +446,25 @@ def test_csf_json_carries_both_bases(capsys):
     assert data["census"]["total_pairs"] == 20
 
 
-# chains are the slowest orders for the filling counter; an antichain has
-# n! fillings of one row, and the census, which `ss-involution` and
+# `csf` counts the fillings of each component of the incomparability graph
+# alone: a chain is one-element components, bounded by MAX_MATRIX_N alone,
+# and an antichain is one component, bounded by MAX_POSET_N.  An antichain
+# has n! fillings of one row, and the census, which `ss-involution` and
 # `csf --format json` build, lists them
-_LONG_CHAIN = " < ".join(f"x{i}" for i in range(MAX_POSET_N + 1))
+_LONG_CHAIN = " < ".join(f"x{i}" for i in range(MAX_MATRIX_N + 1))
 _WIDE_ANTICHAIN = "\n".join(f"a{i}" for i in range(MAX_CENSUS_N + 1))
+_BIG_COMPONENT = "\n".join(f"a{i}" for i in range(MAX_POSET_N + 1))
 
 
 @pytest.mark.parametrize(
     "argv, text, bound, what",
     [
-        (["csf"], _LONG_CHAIN, MAX_POSET_N, "elements"),
+        (["csf"], _LONG_CHAIN, MAX_MATRIX_N, "the number of elements"),
+        (["csf"], _BIG_COMPONENT, MAX_POSET_N, "elements in one incomparability component"),
         (["csf", "--format", "json"], _WIDE_ANTICHAIN, MAX_CENSUS_N, "height <= 2"),
         (["ss-involution"], _WIDE_ANTICHAIN, MAX_CENSUS_N, "height <= 2"),
     ],
-    ids=["csf-chain", "csf-antichain", "ss-involution-antichain"],
+    ids=["csf-chain", "csf-component", "csf-antichain", "ss-involution-antichain"],
 )
 def test_poset_sizes_beyond_the_bound_are_refused(capsys, tmp_path, argv, text, bound, what):
     path = tmp_path / "big.poset"
@@ -468,7 +472,7 @@ def test_poset_sizes_beyond_the_bound_are_refused(capsys, tmp_path, argv, text, 
     code, out, err = run_cli(capsys, *argv, "--poset", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
-    assert what in err and f"must be at most {bound}" in err
+    assert f"{what} must be at most {bound}" in err
 
 
 def test_oversized_poset_file_is_refused_before_its_closure(capsys, tmp_path, monkeypatch):
@@ -481,7 +485,16 @@ def test_oversized_poset_file_is_refused_before_its_closure(capsys, tmp_path, mo
     code, out, err = run_cli(capsys, "csf", "--poset", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
-    assert f"the number of elements must be at most {MAX_POSET_N}" in err
+    assert f"the number of elements must be at most {MAX_MATRIX_N}" in err
+
+
+def test_chains_longer_than_the_component_bound_are_answered(capsys, tmp_path):
+    path = tmp_path / "chain.poset"
+    for n in (MAX_POSET_N + 1, 16):
+        path.write_text(" < ".join(f"x{i}" for i in range(n)) + "\n")
+        code, out, err = run_cli(capsys, "csf", "--poset", str(path))
+        assert code == 0 and err == ""
+        assert out == f"1 e[{','.join(['1'] * n)}]\n"
 
 
 def test_ab_free_refuses_a_file_over_the_bound_before_its_closure(capsys, tmp_path, monkeypatch):
@@ -495,6 +508,19 @@ def test_ab_free_refuses_a_file_over_the_bound_before_its_closure(capsys, tmp_pa
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert f"the number of elements must be at most {MAX_AB_FREE_N}" in err
+
+
+@pytest.mark.parametrize("a, b", [(-1, 5), (5, 0), (0, 0)])
+def test_ab_free_refuses_sizes_below_one_before_the_closure(capsys, tmp_path, monkeypatch, a, b):
+    def closure(*args):
+        raise AssertionError("built the closure before refusing the chain sizes")
+
+    monkeypatch.setattr(Poset, "from_relations", closure)
+    path = tmp_path / "chain.poset"
+    path.write_text(" < ".join(f"x{i}" for i in range(MAX_AB_FREE_N)) + "\n")
+    code, out, err = run_cli(capsys, "ab-free", "--poset", str(path), "--a", str(a), "--b", str(b))
+    assert code == 1 and out == ""
+    assert err == "error: chain sizes must be positive\n"
 
 
 def test_ab_free_refuses_too_many_chains_before_the_closure(capsys, tmp_path, monkeypatch):
@@ -518,7 +544,8 @@ def test_ab_free_refuses_too_many_chains_before_the_closure(capsys, tmp_path, mo
     [
         # ordinal sums of antichains: the graph is a union of cliques
         ("csf", (4, 4, 4), MAX_POSET_N, "13824 e[4,4,4]"),
-        # text builds no census, so height 2 is bounded by MAX_POSET_N alone
+        # text builds no census, so at height 2 only the component and total
+        # bounds apply
         ("csf", (6, 6), MAX_POSET_N, "518400 e[6,6]"),
         ("csf", (4, 5), MAX_CENSUS_N, "2880 e[5,4]"),
         ("ss-involution", (4, 5), MAX_CENSUS_N, "coefficients: 2880 e[5,4]"),

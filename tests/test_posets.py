@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 import time
 from collections import Counter
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rimhook import posets
-from rimhook.partitions import check_partition, enumerate_partitions
+from rimhook.partitions import check_partition, conjugate, enumerate_partitions
 from rimhook.posets import (
     Graph,
     Poset,
@@ -30,7 +31,12 @@ from rimhook.posets import (
     parse_poset,
     stanley_stembridge_involution,
 )
-from rimhook.symfunc import SymFuncExpansion, evaluate_at_ones
+from rimhook.symfunc import (
+    SymFuncExpansion,
+    evaluate_at_ones,
+    inverse_kostka_matrix,
+    kostka_matrix,
+)
 from rimhook.tableaux import enumerate_ssyt
 
 from conftest import FIXTURES
@@ -269,6 +275,17 @@ def test_ab_freeness_of_a_long_chain_is_fast():
     start = time.perf_counter()
     assert is_ab_free(long_chain, 3, 1) and is_ab_free(long_chain, 1, 3)
     assert time.perf_counter() - start < 1.0
+
+
+def test_chains_longer_than_the_recursion_limit_are_listed():
+    # chains grow level by level with no recursion, and only through
+    # elements that still start a chain long enough to finish one
+    n = sys.getrecursionlimit() + 10
+    full = (1 << n) - 1
+    above = [full ^ ((2 << i) - 1) for i in range(n)]  # the n-chain 0 < 1 < ...
+    assert posets._chains(above, n) == [full]
+    assert sorted(posets._chains(above, n - 1)) == sorted(full ^ 1 << i for i in range(n))
+    assert posets._chains(above, n + 1) == []
 
 
 def test_ab_freeness(npo):
@@ -739,6 +756,118 @@ def test_fixed_points_give_the_coefficients(n):
 
 
 # ------------------------------------------------------- full expansions
+
+
+def unsplit_csf(poset: Poset) -> tuple[dict, dict]:
+    """(s, e) coefficients from Gasharov's counts over the whole order, one
+    counter for every shape, pushed through K^-1 of its size, with no
+    split into components."""
+    n = len(poset.elements)
+    _, below, above = poset._order
+    count = posets._p_tableau_counter(below, above, (1 << n) - 1)
+    fills = {lam: count(lam) for lam in enumerate_partitions(n)}
+    inv = inverse_kostka_matrix(n)
+    e = {
+        mu: sum(c * fills[lam] for lam, c in zip(inv.order, row))
+        for mu, row in zip(inv.order, inv.rows)
+    }
+    s = {conjugate(lam): f for lam, f in fills.items() if f}
+    return s, {mu: c for mu, c in e.items() if c}
+
+
+def unit_interval_order(h, prefix: str) -> Poset:
+    """The order on 1..n with i < j exactly when h(i) < j, for a
+    nondecreasing h with h(i) >= i."""
+    els = [f"{prefix}{i}" for i in range(1, len(h) + 1)]
+    return Poset.from_relations(
+        els, [(els[i - 1], els[j - 1]) for i in range(1, len(h) + 1)
+              for j in range(1, len(h) + 1) if h[i - 1] < j]
+    )
+
+
+def ordinal_sum(low: Poset, high: Poset) -> Poset:
+    return Poset.from_relations(
+        low.elements + high.elements,
+        list(low.less) + list(high.less) + [(x, y) for x in low.elements for y in high.elements],
+    )
+
+
+def components(poset: Poset) -> list[set]:
+    """The components of the incomparability graph, by a search over
+    labels."""
+    left = set(poset.elements)
+    out = []
+    while left:
+        part, todo = set(), [min(left)]
+        while todo:
+            x = todo.pop()
+            if x not in part:
+                part.add(x)
+                todo.extend(y for y in left if poset.incomparable(x, y))
+        out.append(part)
+        left -= part
+    return out
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_summands_are_the_incomparability_components(n):
+    for p in enumerate_posets(n):
+        labels, below, above = p._order
+        masks = posets._summands(below, above)
+        assert sum(masks) == (1 << n) - 1
+        assert all(a & b == 0 for a, b in itertools.combinations(masks, 2))
+        found = [{labels[i] for i in range(n) if mask >> i & 1} for mask in masks]
+        assert sorted(map(sorted, found)) == sorted(map(sorted, components(p)))
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_csf_matches_the_unsplit_route(n):
+    for p in ab_free_posets(n):
+        result = csf(p)
+        s, e = unsplit_csf(p)
+        assert result.s_expansion.coeffs == s, p.to_json()
+        assert result.e_expansion.coeffs == e, p.to_json()
+
+
+def test_chain_expansions_are_standard_tableau_counts():
+    # an n-chain is n one-element components: e[1^n], whose Schur
+    # coefficient at lam' is the number of standard tableaux of lam
+    for n in range(1, 13):
+        els = [f"x{i:02d}" for i in range(n)]
+        result = csf(Poset.from_relations(els, zip(els, els[1:])))
+        assert result.e_expansion.coeffs == {(1,) * n: 1}
+        kostka = kostka_matrix(n)
+        standard = {conjugate(lam): row[-1] for lam, row in zip(kostka.order, kostka.rows)}
+        assert result.s_expansion.coeffs == standard
+        if n <= 9:
+            assert (result.s_expansion.coeffs, result.e_expansion.coeffs) == unsplit_csf(
+                Poset.from_relations(els, zip(els, els[1:]))
+            )
+
+
+def test_ordinal_sum_of_two_connected_orders_joins_their_expansions():
+    low = unit_interval_order((2, 3, 4, 5, 5), "p")  # i < j when j > i + 1
+    high = unit_interval_order((3, 4, 5, 5, 5), "q")  # i < j when j > i + 2
+    parts = [csf(low).e_expansion.coeffs, csf(high).e_expansion.coeffs]
+    assert all(len(posets._summands(*q._order[1:])) == 1 for q in (low, high))
+    assert parts[0] != parts[1]
+    joined = Counter()
+    for (mu, c), (nu, d) in itertools.product(parts[0].items(), parts[1].items()):
+        joined[tuple(sorted(mu + nu, reverse=True))] += c * d
+    for p in (ordinal_sum(low, high), ordinal_sum(high, low)):
+        assert len(posets._summands(*p._order[1:])) == 2
+        result = csf(p)
+        assert result.e_expansion.coeffs == dict(joined)
+        assert (result.s_expansion.coeffs, result.e_expansion.coeffs) == unsplit_csf(p)
+
+
+def test_census_of_an_ordinal_sum_of_antichains_is_its_e_expansion():
+    # the census runs on the whole order, not on its components
+    low = Poset(("a", "b", "c"), frozenset())
+    high = Poset(("w", "x", "y", "z"), frozenset())
+    result = csf(ordinal_sum(low, high))
+    assert result.e_expansion.coeffs == {(4, 3): math.factorial(3) * math.factorial(4)}
+    assert result.pair_census.coefficients == result.e_expansion.coeffs
 
 
 def test_fence_expansions(npo):
