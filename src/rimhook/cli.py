@@ -30,8 +30,8 @@ from .posets import (
     incomparability_graph,
     is_ab_free,
     enumerate_posets,
-    _fill_counts,
-    _summands,
+    largest_summand,
+    p_tableau_counts,
     read_poset,
     stanley_stembridge_involution,
 )
@@ -75,13 +75,15 @@ from .tableaux import (
 # `csf` counts the fillings of each component of the incomparability graph
 # alone and joins their e-expansions, so MAX_POSET_N bounds the largest
 # component, the connected unit interval order with i < j when j > i + 1
-# being the slowest found at 12 elements (0.53 s; connected orders of
-# height 2 or 3 took under 0.1 s).  The total is bounded by MAX_MATRIX_N,
-# counted before the closure, since several components read the Schur
-# coefficients through kostka_matrix(n): that order plus a 10-chain, 22
-# elements, took 7.6 s as JSON (353 MiB), a 22-chain 7.2 s (349 MiB) and a
-# 20-chain 2.4 s, while a 13-chain, refused when the whole order was
-# filled at once (12.3 s), takes 0.13 s.
+# being the slowest found at 12 elements (0.6 to 0.8 s cold; connected
+# orders of height 2 or 3 took under 0.1 s).  The total is bounded by
+# MAX_CSF_N, counted before the closure, since the Schur coefficients are
+# read through kostka_matrix(n), built cold: as JSON, that order plus a
+# 9-chain, 21 elements, took 5.1 to 6.2 s (196 MiB) and a 21-chain 4.2 to
+# 6.0 s (190 MiB), while with a 10-chain, 22 elements, it took 8.6 to
+# 10.0 s (353 MiB), at the 10 s limit.  A 20-chain takes 2.5 to 2.9 s, and
+# a 13-chain, refused when the whole order was filled at once (12.3 s),
+# takes 0.13 s.
 # At height ≤ 2 `ss-involution` and `csf --format json` build the census,
 # whose fillings grow like n!.  On a 9-element antichain (362,880 pairs)
 # `csf` took 4.6 to 7.2 s as JSON, and `ss-involution` 1.6 to 2.0 s as text
@@ -114,6 +116,7 @@ MAX_ENTRY_N = 50
 _MAX_CONTENT_N = 14
 MAX_CORPUS_N = 8
 MAX_POSET_N = 12
+MAX_CSF_N = 21
 MAX_CENSUS_N = 9
 MAX_TRACE_N = 18
 MAX_AB_FREE_N = 2000
@@ -136,16 +139,15 @@ def _parse_cell(text: str) -> tuple[int, int]:
 
 def _load_poset(path: str, census: bool) -> Poset:
     """The poset in `path` if `csf` and `ss-involution` take it: at most
-    MAX_MATRIX_N elements, counted before the closure is built; at most
+    MAX_CSF_N elements, counted before the closure is built; at most
     MAX_POSET_N in each component of its incomparability graph, the orders
     whose fillings `csf` counts; and, if the command builds a census, at
     most MAX_CENSUS_N at height ≤ 2."""
     elements, relations = read_poset(Path(path).read_text())
-    n = _admit_n(len(elements), MAX_MATRIX_N, "the number of elements")
+    n = _admit_n(len(elements), MAX_CSF_N, "the number of elements")
     poset = Poset.from_relations(elements, relations)
-    _, below, above = poset._order
-    largest = max((part.bit_count() for part in _summands(below, above)), default=0)
-    _admit_n(largest, MAX_POSET_N, "the number of elements in one incomparability component")
+    _admit_n(largest_summand(poset), MAX_POSET_N,
+             "the number of elements in one incomparability component")
     if census and n > MAX_CENSUS_N and height(poset) <= 2:
         _admit_n(n, MAX_CENSUS_N, "the number of elements at height <= 2")
     return poset
@@ -346,10 +348,9 @@ def _cmd_corpus(args) -> int:
         for poset in free:
             result = csf(poset)
             # csf multiplies over the components of the incomparability
-            # graph; its Schur coefficients must be the fillings of the
-            # whole order, counted by one counter (Gasharov)
-            _, below, above = poset._order
-            fills = _fill_counts(below, above, (1 << n) - 1)
+            # graph and reads s through K; by Gasharov its Schur
+            # coefficients are the fillings of the whole order, unsplit
+            fills = p_tableau_counts(poset)
             if {conjugate(lam): f for lam, f in fills.items()} != result.s_expansion.coeffs:
                 failures += 1
             graph = incomparability_graph(poset)

@@ -22,11 +22,12 @@ the incomparability graph are comparable, so the order is the ordinal sum
 of its components, and X_P is the product of their chromatic symmetric
 functions (Stanley 1995, Prop. 2.3).  Each component's fillings are
 counted alone and pushed through K^-1 of its size to its e-expansion, and
-in the e-basis the product joins partitions.  The Schur coefficients come
-two ways: with one component they are the filling counts (Gasharov); with
-more they are read from e through K, since e_mu = sum_lam K(lam, mu) s_lam'.
-A chain is all one-element components, each e[1], so none of its
-fillings is counted.  The census always runs on the whole order.
+in the e-basis the product joins partitions.  The Schur coefficients are
+read from the product through K, since e_mu = sum_lam K(lam, mu) s_lam';
+by Gasharov they equal the fillings of the whole order, which
+`p_tableau_counts` counts with no split, and `corpus` checks the two agree.
+A chain is all one-element components, each e[1], so no filling of more
+than one element is counted.  The census always runs on the whole order.
 
 Fillings are counted column by column and proper colorings from the
 partitions of the order into chains; neither is built.  The enumerators
@@ -443,6 +444,13 @@ def _summands(below, above) -> list[int]:
     return out
 
 
+def largest_summand(poset: Poset) -> int:
+    """The number of elements in the largest component of the
+    incomparability graph: the largest order whose fillings `csf` counts."""
+    _, below, above = poset._order
+    return max((part.bit_count() for part in _summands(below, above)), default=0)
+
+
 def _p_tableau_counter(below, above, elements: int):
     """Filling counts by the elements of the mask `elements`, for any
     shapes of their weight, sharing one memo.
@@ -717,6 +725,15 @@ def _fill_counts(below, above, elements: int) -> dict[Partition, int]:
     }
 
 
+def p_tableau_counts(poset: Poset) -> dict[Partition, int]:
+    """The number of P-tableaux of each shape of weight |P|, for the shapes
+    with a nonzero count, from one counter over the whole order with no
+    split into components; by Gasharov, the coefficient of s at the
+    conjugate shape in X_P."""
+    _, below, above = poset._order
+    return _fill_counts(below, above, (1 << len(below)) - 1)
+
+
 def _e_of_fills(fills: dict[Partition, int], m: int) -> dict[Partition, int]:
     """The e-expansion whose s-coefficient at conjugate(lam) is fills[lam],
     read through the signed hook-count matrix of weight m."""
@@ -729,17 +746,10 @@ def _e_of_fills(fills: dict[Partition, int], m: int) -> dict[Partition, int]:
 
 def csf(poset: Poset) -> CsfResult:
     """Chromatic symmetric function of the incomparability graph, in the
-    Schur and elementary bases; needs a (3+1)-free order.
-
-    An order is the ordinal sum of the components of its incomparability
-    graph, and X_P is the product of theirs (Stanley 1995, Prop. 2.3),
-    which in the e-basis joins partitions.  So each component's fillings
-    are counted alone and pushed through K^-1 of its size to its
-    e-expansion, a one-element component being e[1], and the products
-    are joined.  With one component the Schur coefficients are the filling
-    counts (Gasharov); with more they are read from e, since
-    e_mu = sum_lam K(lam, mu) s_lam' gives the coefficient of
-    s_conjugate(lam) as sum_mu e(mu) K(lam, mu).
+    Schur and elementary bases; needs a (3+1)-free order.  Each component
+    of the incomparability graph gives its e-expansion from its own
+    fillings, the product joins them, and s is read from e through K (the
+    module docstring states the lemma).
 
     No census is built here: the result builds it, over the whole order,
     when `pair_census` is first read, so a census counterexample surfaces
@@ -749,28 +759,22 @@ def csf(poset: Poset) -> CsfResult:
         raise ValueError("expansion requires a (3+1)-free order")
     n = len(poset.elements)
     _, below, above = poset._order
-    parts = _summands(below, above) or [0]
-    if len(parts) == 1:
-        fills = _fill_counts(below, above, parts[0])
-        s_coeffs = {conjugate(lam): f for lam, f in fills.items()}
-        e_coeffs = _e_of_fills(fills, n)
-    else:
-        e_coeffs = {(): 1}
-        for part in parts:
-            m = part.bit_count()
-            factor = {(1,): 1} if m == 1 else _e_of_fills(_fill_counts(below, above, part), m)
-            joined: dict[Partition, int] = {}
-            for mu, c in e_coeffs.items():
-                for nu, d in factor.items():
-                    key = tuple(sorted(mu + nu, reverse=True))
-                    joined[key] = joined.get(key, 0) + c * d
-            e_coeffs = joined
-        kostka = kostka_matrix(n)
-        columns = [(kostka.index(mu), c) for mu, c in e_coeffs.items()]
-        s_coeffs = {
-            conjugate(lam): sum(row[j] * c for j, c in columns)
-            for lam, row in zip(kostka.order, kostka.rows)
-        }
+    e_coeffs: dict[Partition, int] = {(): 1}
+    for part in _summands(below, above):
+        factor = _e_of_fills(_fill_counts(below, above, part), part.bit_count())
+        joined: dict[Partition, int] = {}
+        for mu, c in e_coeffs.items():
+            for nu, d in factor.items():
+                key = tuple(sorted(mu + nu, reverse=True))
+                joined[key] = joined.get(key, 0) + c * d
+        e_coeffs = joined
+    kostka = kostka_matrix(n)
+    columns = [(kostka.index(mu), c) for mu, c in e_coeffs.items()]
+    s_coeffs = {
+        conjugate(lam): f
+        for lam, row in zip(kostka.order, kostka.rows)
+        if (f := sum(row[j] * c for j, c in columns))
+    }
     return CsfResult(
         SymFuncExpansion("s", s_coeffs, n),
         SymFuncExpansion("e", e_coeffs, n),

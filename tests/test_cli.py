@@ -22,6 +22,7 @@ from rimhook.cli import (
     MAX_AB_FREE_N,
     MAX_CENSUS_N,
     MAX_CORPUS_N,
+    MAX_CSF_N,
     MAX_ENTRY_N,
     MAX_MATRIX_N,
     MAX_POSET_N,
@@ -447,11 +448,11 @@ def test_csf_json_carries_both_bases(capsys):
 
 
 # `csf` counts the fillings of each component of the incomparability graph
-# alone: a chain is one-element components, bounded by MAX_MATRIX_N alone,
+# alone: a chain is one-element components, bounded by MAX_CSF_N alone,
 # and an antichain is one component, bounded by MAX_POSET_N.  An antichain
 # has n! fillings of one row, and the census, which `ss-involution` and
 # `csf --format json` build, lists them
-_LONG_CHAIN = " < ".join(f"x{i}" for i in range(MAX_MATRIX_N + 1))
+_LONG_CHAIN = " < ".join(f"x{i}" for i in range(MAX_CSF_N + 1))
 _WIDE_ANTICHAIN = "\n".join(f"a{i}" for i in range(MAX_CENSUS_N + 1))
 _BIG_COMPONENT = "\n".join(f"a{i}" for i in range(MAX_POSET_N + 1))
 
@@ -459,7 +460,7 @@ _BIG_COMPONENT = "\n".join(f"a{i}" for i in range(MAX_POSET_N + 1))
 @pytest.mark.parametrize(
     "argv, text, bound, what",
     [
-        (["csf"], _LONG_CHAIN, MAX_MATRIX_N, "the number of elements"),
+        (["csf"], _LONG_CHAIN, MAX_CSF_N, "the number of elements"),
         (["csf"], _BIG_COMPONENT, MAX_POSET_N, "elements in one incomparability component"),
         (["csf", "--format", "json"], _WIDE_ANTICHAIN, MAX_CENSUS_N, "height <= 2"),
         (["ss-involution"], _WIDE_ANTICHAIN, MAX_CENSUS_N, "height <= 2"),
@@ -485,7 +486,7 @@ def test_oversized_poset_file_is_refused_before_its_closure(capsys, tmp_path, mo
     code, out, err = run_cli(capsys, "csf", "--poset", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
-    assert f"the number of elements must be at most {MAX_MATRIX_N}" in err
+    assert f"the number of elements must be at most {MAX_CSF_N}" in err
 
 
 def test_chains_longer_than_the_component_bound_are_answered(capsys, tmp_path):

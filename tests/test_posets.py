@@ -28,6 +28,8 @@ from rimhook.posets import (
     incomparability_graph,
     is_ab_free,
     is_p_tableau,
+    largest_summand,
+    p_tableau_counts,
     parse_poset,
     stanley_stembridge_involution,
 )
@@ -818,6 +820,14 @@ def test_summands_are_the_incomparability_components(n):
         assert all(a & b == 0 for a, b in itertools.combinations(masks, 2))
         found = [{labels[i] for i in range(n) if mask >> i & 1} for mask in masks]
         assert sorted(map(sorted, found)) == sorted(map(sorted, components(p)))
+        assert largest_summand(p) == max(map(len, components(p)), default=0)
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_p_tableau_counts_are_the_counts_of_each_shape(n):
+    for p in enumerate_posets(n):
+        counts = {lam: count_p_tableaux(p, lam) for lam in enumerate_partitions(n)}
+        assert p_tableau_counts(p) == {lam: f for lam, f in counts.items() if f}
 
 
 @pytest.mark.parametrize("n", range(0, 8))
