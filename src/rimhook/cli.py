@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import math
-import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -56,7 +55,8 @@ from .tableaux import (
 
 # Admission bounds on n, each the largest n whose command, output included,
 # finished in about 10 s on a 2-core machine (Python 3.11): `kostka --n 22`
-# took 7.2 to 9.1 s, as text or JSON (349 MiB), and n = 23 took 15.5 s
+# took 6.1 to 9.5 s in eleven runs, as text or JSON (349 MiB), with the
+# one-minute load average at 0.4 to 1.1, and n = 23 took 15.5 s
 # (450 MiB); `kostka --n 19` takes 1.9 s (75 MiB), and the inverse is faster
 # (`inv-kostka --n 22`, 1.1 to 1.2 s as text and 1.3 to 1.4 s as JSON,
 # 109 MiB);
@@ -335,12 +335,9 @@ def _cmd_ab_free(args) -> int:
 
 def _cmd_corpus(args) -> int:
     max_n = _admit_n(args.max_elements, MAX_CORPUS_N, "--max-elements")
-    rng = random.Random(args.seed)
     summary = []
     for n in range(1, max_n + 1):
-        posets = list(enumerate_posets(n))
-        if args.seed is not None:
-            rng.shuffle(posets)  # order only; the aggregate is unchanged
+        posets = enumerate_posets(n)
         free = [p for p in posets if is_ab_free(p, 3, 1)]
         low = [p for p in free if height(p) <= 2]
         failures = 0
@@ -465,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="exhaustive small-poset sweep with cross-checks")
     p.add_argument("--max-elements", type=int, default=5)
-    p.add_argument("--seed", type=int, default=None, help="processing order only")
     add_format(p)
     p.set_defaults(fn=_cmd_corpus)
 

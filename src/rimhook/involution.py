@@ -16,9 +16,11 @@ Ferrers diagram (hi = 1, or row hi-1 reaches column hj+1), so that c closes
 its row and column; otherwise at (hi-1, hj).  Over every rooted walk with n <= 12 this picks
 the attachment that gives a valid state from which the walk continues.
 
-States enter through the validating constructor; the walk builds its
-intermediate states unchecked from valid ones and hands back a terminal
-state that passes the constructor again.
+A walk's start state passes the validating constructor.  `_settle` builds
+the states in between unchecked (`tableaux._unchecked`), each derived from
+a valid one, while every hook a step rewrites passes the `RimHook`
+constructor, the one check on a hook's steps inside a walk.  The terminal
+state passes the constructor again, as does `outer_involution`'s output.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .partitions import Cell, Partition, num_partitions, shape_of_cells
+from .partitions import (
+    Cell, Partition, check_partition, enumerate_partitions, num_partitions, shape_of_cells
+)
 from .tableaux import (
     HookClass,
     RimHook,
@@ -36,6 +40,7 @@ from .tableaux import (
     _json_hooks,
     _json_int,
     _json_ints,
+    _unchecked,
     enumerate_srht,
     enumerate_ssyt,
     render_hooks,
@@ -150,15 +155,6 @@ def classify(state: RootedTableau) -> HookClass:
     return cls
 
 
-def _unchecked(
-    shape: Partition, hooks: tuple[RimHook, ...], root: Cell, active: int
-) -> RootedTableau:
-    """A state the engine derived from a valid one: fields set, no validation."""
-    state = object.__new__(RootedTableau)
-    state.__dict__.update(shape=shape, hooks=hooks, root=root, active=active)
-    return state
-
-
 def _settle(old: RootedTableau, hooks: list[RimHook], new_root: Cell) -> RootedTableau:
     """Build the successor around the moved root and hand over activity.
 
@@ -176,7 +172,7 @@ def _settle(old: RootedTableau, hooks: list[RimHook], new_root: Cell) -> RootedT
             if j > widths.get(i, 0):
                 widths[i] = j
     shape = tuple(widths[i] for i in range(1, len(widths) + 1))
-    return _unchecked(shape, tuple(hooks), new_root, new_active)
+    return _unchecked(RootedTableau, shape, tuple(hooks), new_root, new_active)
 
 
 def _attaches_right(state: RootedTableau, cell: Cell) -> bool:
@@ -373,8 +369,6 @@ def outer_involution(
 def enumerate_standard_pairs(mu) -> list[tuple[SpecialRimHookTableau, SemistandardTableau]]:
     """All (hook tableau of the given type, standard filling) pairs of a
     common shape, shapes in canonical order."""
-    from .partitions import check_partition, enumerate_partitions
-
     mu = check_partition(mu)
     n = sum(mu)
     pairs = []

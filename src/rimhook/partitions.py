@@ -71,7 +71,6 @@ def num_partitions(n: int) -> int:
 
 def conjugate(p) -> Partition:
     """Transpose the Ferrers diagram: (3,2,2,1,1) -> (5,3,1)."""
-    p = check_partition(p)
     if not p:
         return ()
     return tuple(sum(1 for part in p if part >= j) for j in range(1, p[0] + 1))
@@ -149,5 +148,5 @@ def parse_partition(text: str) -> Partition:
 
 
 def format_partition(p) -> str:
-    return "[" + ",".join(str(x) for x in check_partition(p)) + "]"
+    return "[" + ",".join(str(x) for x in p) + "]"
 

@@ -55,7 +55,7 @@ from .partitions import (
     format_partition,
 )
 from .symfunc import SymFuncExpansion, inverse_kostka_matrix, kostka_matrix
-from .tableaux import SpecialRimHookTableau, enumerate_srht_all_types
+from .tableaux import SpecialRimHookTableau, _unchecked, enumerate_srht_all_types
 
 Rows = tuple[tuple[str, ...], ...]
 PairST = tuple[SpecialRimHookTableau, Rows]
@@ -767,17 +767,18 @@ def csf(poset: Poset) -> CsfResult:
             for nu, d in factor.items():
                 key = tuple(sorted(mu + nu, reverse=True))
                 joined[key] = joined.get(key, 0) + c * d
-        e_coeffs = joined
+        e_coeffs = {mu: c for mu, c in joined.items() if c}
     kostka = kostka_matrix(n)
-    columns = [(kostka.index(mu), c) for mu, c in e_coeffs.items()]
+    column = {mu: j for j, mu in enumerate(kostka.order)}
+    columns = [(column[mu], c) for mu, c in e_coeffs.items()]
     s_coeffs = {
         conjugate(lam): f
         for lam, row in zip(kostka.order, kostka.rows)
         if (f := sum(row[j] * c for j, c in columns))
     }
     return CsfResult(
-        SymFuncExpansion("s", s_coeffs, n),
-        SymFuncExpansion("e", e_coeffs, n),
+        _unchecked(SymFuncExpansion, "s", s_coeffs, n),
+        _unchecked(SymFuncExpansion, "e", e_coeffs, n),
         poset,
     )
 
@@ -840,11 +841,12 @@ def canonical_form(poset: Poset) -> tuple:
 @lru_cache(maxsize=None)
 def enumerate_posets(n: int) -> tuple[Poset, ...]:
     """All posets on n elements up to isomorphism, built by repeatedly
-    adjoining a maximal element above each order ideal."""
+    adjoining a maximal element above each order ideal, which keeps the
+    relation a closed order, so each candidate is built unchecked."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        return (Poset((), frozenset()),)
+        return (_unchecked(Poset, (), frozenset()),)
     if n > len(_ALPHABET):
         raise ValueError("poset enumeration is a desk-scale tool")
     labels = tuple(_ALPHABET[:n])
@@ -854,7 +856,7 @@ def enumerate_posets(n: int) -> tuple[Poset, ...]:
         old = base._order[0]
         for ideal in _order_ideals(base):
             less = set(base.less) | {(old[i], new) for i in _bits(ideal)}
-            candidate = Poset(labels, frozenset(less))
+            candidate = _unchecked(Poset, labels, frozenset(less))
             key = canonical_form(candidate)
             if key not in out:
                 out[key] = candidate

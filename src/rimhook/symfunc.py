@@ -31,7 +31,7 @@ from .partitions import (
     enumerate_partitions,
     format_partition,
 )
-from .tableaux import _outer_rim_strips
+from .tableaux import _outer_rim_strips, _unchecked
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class PartitionMatrix:
             raise ValueError("matrix is not square against its index")
 
     def index(self, part) -> int:
-        return self.order.index(check_partition(part))
+        return self.order.index(tuple(part))
 
     def entry(self, row_part, col_part) -> int:
         return self.rows[self.index(row_part)][self.index(col_part)]
@@ -301,7 +301,7 @@ class SymFuncExpansion:
         object.__setattr__(self, "coeffs", cleaned)
 
     def __getitem__(self, part) -> int:
-        return self.coeffs.get(check_partition(part), 0)
+        return self.coeffs.get(tuple(part), 0)
 
     def terms(self) -> list[tuple[Partition, int]]:
         """Coefficients in canonical partition order: among partitions of
@@ -337,8 +337,8 @@ def schur_to_e(lam) -> SymFuncExpansion:
     n = sum(lam)
     inv = inverse_kostka_matrix(n)
     j = inv.index(lam)
-    coeffs = {mu: inv.rows[i][j] for i, mu in enumerate(inv.order)}
-    return SymFuncExpansion("e", coeffs, n)
+    coeffs = {mu: c for mu, row in zip(inv.order, inv.rows) if (c := row[j])}
+    return _unchecked(SymFuncExpansion, "e", coeffs, n)
 
 
 def _eval_e_ones(mu: Partition, k: int) -> int:

@@ -37,6 +37,14 @@ def _json_fields(data, *keys):
     return tuple(data[k] for k in keys)
 
 
+def _unchecked(cls, *values):
+    """The dataclass `cls` with `values` as its fields, in order, unvalidated:
+    how the library builds what it derives from values already checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values, strict=True))
+    return obj
+
+
 def _json_list(value, key: str) -> list:
     """`value` if it is a JSON list; otherwise a ValueError naming `key`."""
     if not isinstance(value, list):
@@ -254,7 +262,7 @@ def enumerate_ssyt(shape, content) -> list[SemistandardTableau]:
                 tuple(grid[(i, j)] for j in range(1, shape[i - 1] + 1))
                 for i in range(1, len(shape) + 1)
             )
-            out.append(SemistandardTableau(rows))
+            out.append(_unchecked(SemistandardTableau, rows))
             return
         i, j = order[pos]
         lo = 1
@@ -365,18 +373,19 @@ def _all_srht(shape: Partition) -> tuple[SpecialRimHookTableau, ...]:
     Each is one of the strips of `_outer_rim_strips` followed by a tableau
     of what it leaves, so each is built exactly once, hooks in canonical
     order.  A strip is one `RimHook`, shared by the tableaux that start
-    with it.
+    with it.  Both are built unchecked.
     """
     if not shape:
-        return (SpecialRimHookTableau(shape, ()),)
+        return (_unchecked(SpecialRimHookTableau, shape, ()),)
     out: list[SpecialRimHookTableau] = []
     walk: list[Cell] = []
     for top, size, nu in _outer_rim_strips(shape):
         # the strip grows by the end of row `top`: its last size - len(walk) cells
         row = shape[top]
         walk.extend((top + 1, j) for j in range(row - (size - len(walk)) + 1, row + 1))
-        hook = RimHook(tuple(walk))
-        out.extend(SpecialRimHookTableau(shape, (hook,) + t.hooks) for t in _all_srht(nu))
+        hook = _unchecked(RimHook, tuple(walk))
+        out.extend(_unchecked(SpecialRimHookTableau, shape, (hook,) + t.hooks)
+                   for t in _all_srht(nu))
     return tuple(out)
 
 

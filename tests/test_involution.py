@@ -10,7 +10,6 @@ from rimhook import involution
 from rimhook.involution import (
     HookClass,
     RootedTableau,
-    _unchecked,
     apply_rule,
     check_sign_lemma,
     enumerate_standard_pairs,
@@ -23,6 +22,7 @@ from rimhook.tableaux import (
     RimHook,
     SemistandardTableau,
     SpecialRimHookTableau,
+    _unchecked,
     enumerate_srht_all_types,
 )
 
@@ -266,7 +266,9 @@ def _three_cell_row():
 def test_type_check_catches_a_changed_hook_multiset(monkeypatch):
     start = RootedTableau.from_json(load_fixture("six_step_state.json")["initial"])
     first = apply_rule(start)
-    extra = _unchecked(first.shape, first.hooks + (RimHook(((9, 1),)),), first.root, first.active)
+    extra = _unchecked(
+        RootedTableau, first.shape, first.hooks + (RimHook(((9, 1),)),), first.root, first.active
+    )
     monkeypatch.setattr(involution, "apply_rule", lambda state: extra)
     with pytest.raises(RuntimeError, match="hook-size multiset changed"):
         inner_involution(start)
@@ -280,7 +282,7 @@ def test_terminal_revalidation_catches_an_invalid_state(monkeypatch):
     k = next(k for k in range(len(final.hooks)) if k not in final.root_hooks)
     hooks = list(final.hooks)
     hooks[k] = RimHook(tuple((i, j + 1) for i, j in hooks[k].walk))
-    broken = _unchecked(final.shape, tuple(hooks), final.root, final.active)
+    broken = _unchecked(RootedTableau, final.shape, tuple(hooks), final.root, final.active)
     monkeypatch.setattr(involution, "apply_rule", lambda state: broken)
     with pytest.raises(ValueError, match="does not touch column 1"):
         inner_involution(start)
